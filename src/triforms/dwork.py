@@ -11,7 +11,7 @@ from enum import Enum
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .errors import PrimeDividesDenominator, SharedFactor
+from .errors import InvariantViolation, PrimeDividesDenominator, SharedFactor
 from .halphen import TriangleType
 from .hypergeom import HGParams
 from .rationals import QQ, numden
@@ -28,8 +28,11 @@ class DworkImage:
 
     def __post_init__(self):
         witness = self.prime * self.image - self.x
-        assert witness == self.digit_witness
-        assert 0 <= self.digit_witness <= self.prime - 1
+        if witness != self.digit_witness or not (
+                0 <= self.digit_witness <= self.prime - 1):
+            raise InvariantViolation(
+                f"p * delta(x) - x = {witness} is not the digit "
+                f"{self.digit_witness} in 0..{self.prime - 1}")
 
 
 def dwork_map(x, p: int) -> DworkImage:
@@ -177,8 +180,10 @@ def hecke_classifier(n: int, p: int) -> bool:
     result = p % n in (1, n - 1)
     if p > 4 * n:
         verdict = theorem_classifier(TriangleType(2, n), p)
-        assert (verdict.verdict == Verdict.INTEGRAL) == result, \
-            f"Hecke criterion disagrees with the main classifier at p = {p}"
+        if (verdict.verdict == Verdict.INTEGRAL) != result:
+            raise InvariantViolation(
+                f"Hecke criterion disagrees with the main classifier "
+                f"at p = {p}")
     return result
 
 

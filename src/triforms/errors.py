@@ -5,6 +5,11 @@ class TriformsError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvariantViolation(TriformsError):
+    """An internal cross-check failed: a bug in the package, not a
+    mathematical fact."""
+
+
 # --- series arithmetic ---------------------------------------------------
 
 class ZeroConstantTerm(TriformsError):
@@ -58,6 +63,10 @@ class RouteMismatch(TriformsError):
         self.rhs = rhs
         super().__init__(
             f"routes disagree at q^{index}: {lhs} vs {rhs}")
+
+
+class OrderShortfall(TriformsError):
+    """The computed series do not reach the order that was requested."""
 
 
 class FormulaMismatch(TriformsError):

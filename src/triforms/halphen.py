@@ -23,6 +23,7 @@ from typing import Optional
 from .errors import (
     DegenerateDenominator,
     InconsistentOrderOne,
+    InvariantViolation,
     SingularSystem,
 )
 from .rationals import ONE, QQ, ZERO
@@ -112,7 +113,9 @@ def derive_params(tri: TriangleType) -> HalphenParams:
     b = (1 - inv1 - inv2) / 2
     c = 1 - a
     # cross-check against the defining relations
-    assert 1 - a - b == inv1 and 1 - b - c == inv2 and 1 - a - c == 0
+    if not (1 - a - b == inv1 and 1 - b - c == inv2 and 1 - a - c == 0):
+        raise InvariantViolation(f"parameters {a}, {b}, {c} for {tri} "
+                                 "break the defining relations")
     return HalphenParams(a, b, c)
 
 
@@ -261,10 +264,6 @@ def hauptmodul_from_halphen(sol: HalphenSolution) -> LaurentSeries:
         raise DegenerateDenominator("t3 - t1 has zero linear coefficient")
     return (LaurentSeries.from_truncated(num)
             / LaurentSeries.from_truncated(den))
-
-
-GENERATOR_WARNING = ("k outside the generator range for this type; "
-                     "series computed anyway")
 
 
 def generator_range(tri: TriangleType, kind: int) -> range:

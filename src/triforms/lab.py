@@ -20,7 +20,7 @@ from enum import Enum
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .errors import FormulaMismatch, RouteMismatch, SharedFactor
+from .errors import FormulaMismatch, OrderShortfall, RouteMismatch, SharedFactor
 from .halphen import (
     TriangleType,
     eisenstein_one,
@@ -195,24 +195,28 @@ def dieudonne_check(u: TruncatedSeries, p: int,
 
 
 def cross_route_consistency(tri: TriangleType, n_order: int) -> CongruenceReport:
-    """Halphen J must equal hypergeometric J coefficient-exactly.
+    """Halphen J must equal hypergeometric J coefficient-exactly through
+    q^n_order.
 
-    The comparison window is the common truncation of the two routes
-    (each route loses a little order to division/reversion).  Any
-    disagreement is a hard error.
+    Each route loses orders to division and reversion: both J's reach
+    q^n_order from inputs at order n_order + 2, and a shorter common
+    truncation raises OrderShortfall.  Any disagreement is a hard error.
     """
     sol = solve_halphen(tri, n_order + 2)
     j_halphen = hauptmodul_from_halphen(sol)
     params = HGParams.for_type(tri)
-    mirror = mirror_map(params, n_order + 1)
+    mirror = mirror_map(params, n_order + 2)
     j_hyper = mirror.J
-    top = min(j_halphen.truncation, j_hyper.truncation, n_order)
-    for e in range(-1, top + 1):
+    top = min(j_halphen.truncation, j_hyper.truncation)
+    if top < n_order:
+        raise OrderShortfall(
+            f"cross-route {tri}: the routes reach q^{top}, not q^{n_order}")
+    for e in range(-1, n_order + 1):
         lhs, rhs = j_halphen.coefficient(e), j_hyper.coefficient(e)
         if lhs != rhs:
             raise RouteMismatch(e, lhs, rhs)
     return CongruenceReport(
-        description=f"cross-route {tri}", prime=0, orders_checked=top,
+        description=f"cross-route {tri}", prime=0, orders_checked=n_order,
         details={"kappa": rational_to_str(mirror.kappa)})
 
 

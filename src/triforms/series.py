@@ -4,11 +4,24 @@ All series carry an explicit truncation order and immutable coefficient
 tuples; every operation is a pure function returning a fresh series.
 Binary operations truncate at the minimum of the operand truncations,
 never silently extending.  There is no floating point anywhere.
+
+The series product clears each operand to integers over one common
+denominator, packs each into a single integer with one signed slot per
+coefficient (Kronecker substitution), does one big-integer multiply,
+and unpacks the slots; each coefficient is then reduced once.  Its
+cost grows with the bits of the common denominator, which for the
+series built here stays close to the largest single denominator;
+operands with unrelated tall denominators would make the cleared
+integers up to N times taller.
+Reversion is a Newton iteration whose update uses the derivative of the
+current approximation in place of 1/s'(g), so each step needs a single
+composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -17,7 +30,8 @@ from .errors import (
     NotInvertible,
     ZeroConstantTerm,
 )
-from .rationals import ONE, QQ, ZERO, is_rational, padic_valuation, rational_to_str
+from .rationals import (
+    ONE, QQ, ZERO, is_rational, numden, padic_valuation, rational_to_str)
 
 
 class TruncatedSeries:
@@ -126,15 +140,16 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = self._binary_trunc(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = ZERO
-            for i in range(k + 1):
-                if a[i] and b[k - i]:
-                    acc += a[i] * b[k - i]
-            out.append(acc)
-        return TruncatedSeries(out, n)
+        a_ints, da = _common_denominator(self.coeffs[: n + 1])
+        b_ints, db = _common_denominator(other.coeffs[: n + 1])
+        # |c_k| <= (n + 1) max|a| max|b| < 2^(width - 1): no slot overflows
+        width = (_max_bits(a_ints) + _max_bits(b_ints)
+                 + (n + 1).bit_length() + 1)
+        slot = (width + 7) // 8  # bytes per slot
+        packed = _pack(a_ints, slot) * _pack(b_ints, slot)
+        den = da * db
+        return TruncatedSeries(
+            [QQ(c, den) for c in _unpack(packed, slot, n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -185,6 +200,48 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedSeries":
         return cls([QQ(s) for s in data["coeffs"]], data["truncation"])
+
+
+# --------------------------------------------------------------------------
+# Packed integer product (Kronecker substitution)
+# --------------------------------------------------------------------------
+
+def _common_denominator(coeffs):
+    """Integers x_i and one denominator d with coeffs[i] = x_i / d."""
+    pairs = [numden(c) for c in coeffs]
+    den = lcm(*(d for _, d in pairs))
+    return [x * (den // d) for x, d in pairs], den
+
+
+def _max_bits(ints) -> int:
+    return max(abs(x) for x in ints).bit_length()
+
+
+def _pack(ints, slot: int) -> int:
+    """sum x_i 2^(8 slot i) for signed x_i with |x_i| < 2^(8 slot)."""
+    pos = b"".join(max(x, 0).to_bytes(slot, "little") for x in ints)
+    neg = b"".join(max(-x, 0).to_bytes(slot, "little") for x in ints)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(packed: int, slot: int, count: int):
+    """The first count signed slots c_k of packed, given every
+    |c_k| < 2^(8 slot - 1).
+
+    Slot k of the two's-complement bits holds c_k mod 2^(8 slot) less
+    the borrow taken by the negative slots below it; adding that borrow
+    back and centring the residue recovers c_k.
+    """
+    bits = 8 * slot
+    full, half = 1 << bits, 1 << (bits - 1)
+    low = packed & ((1 << (bits * count)) - 1)
+    raw = low.to_bytes(slot * count, "little")
+    out, borrow = [], 0
+    for k in range(0, slot * count, slot):
+        c = int.from_bytes(raw[k:k + slot], "little") + borrow
+        borrow = int(c >= half)
+        out.append(c - full if borrow else c)
+    return out
 
 
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -273,39 +330,43 @@ def scale_argument(s: TruncatedSeries, kappa) -> TruncatedSeries:
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(q)) for g with zero constant term (Horner evaluation)."""
+    """f(g(q)) for g with zero constant term (Horner evaluation).
+
+    The partial sum r_k = f_k + f_(k+1) g + ... ends up multiplied by
+    g^k = O(q^k), so it is kept only through q^(n-k); with g = q h,
+    r_k = f_k + q (r_(k+1) h) at that order.
+    """
     if g.constant_term != 0:
         raise NonzeroConstantTerm("composition needs inner constant term 0")
     n = min(f.truncation, g.truncation)
-    result = TruncatedSeries([f.coeffs[n]], n)
+    h = TruncatedSeries(g.coeffs[1:], max(n - 1, 0))
+    result = TruncatedSeries([f.coeffs[n]], 0)
     for k in range(n - 1, -1, -1):
-        result = result * g + f.coeffs[k]
+        result = TruncatedSeries([f.coeffs[k], *(result * h).coeffs], n - k)
     return result
 
 
 def reversion(s: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse g with s(g(q)) = q to order N.
 
-    Newton iteration doubling the number of correct coefficients per
-    step; each update works at the smallest sufficient truncation.
+    Newton iteration: if g is correct through q^m, then s'(g) g' =
+    (s(g))' = 1 + O(q^m), so g' stands in for 1/s'(g) and the update
+    g <- g - (s(g) - q) g' is correct through q^(2m).  Each step costs
+    one composition at the doubled order and one product; g' is the
+    derivative of the polynomial g, exact when padded with zeros.
     """
     if s.constant_term != 0 or s.truncation < 1 or s.coeffs[1] == 0:
         raise NotInvertible("need s(0) = 0 and nonzero linear coefficient")
     n = s.truncation
-    ds = derivative(s)  # exact to order N - 1
     g = TruncatedSeries([ZERO, ONE / s.coeffs[1]], 1)
     order = 1  # g is correct through q^order
     while order < n:
         order = min(2 * order, n)
         work = TruncatedSeries(g.coeffs, order)
-        f_at = compose(s.retruncate(order), work)
-        df_at = compose(ds.retruncate(min(ds.truncation, order)), work)
-        if df_at.truncation < order:
-            # padding is sound: the numerator below vanishes to high
-            # order, so these indices never reach the correction window
-            df_at = TruncatedSeries(df_at.coeffs, order)
-        correction = divide(f_at - TruncatedSeries.identity(order), df_at)
-        g = work - correction
+        residual = (compose(s.retruncate(order), work)
+                    - TruncatedSeries.identity(order))
+        dg = TruncatedSeries(derivative(g).coeffs, order)
+        g = work - residual * dg
     return g
 
 

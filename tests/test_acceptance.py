@@ -164,10 +164,8 @@ def test_criterion_07_cross_route(capsys):
     ok = True
     for tri in (TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),
                 TriangleType(3, 3), TriangleType(2, None)):
-        # request a little headroom: each route loses an order or two
-        # to division/reversion, and the certificate must reach 40
-        report = cross_route_consistency(tri, 42)  # raises on any mismatch
-        ok = ok and report.orders_checked >= 40
+        report = cross_route_consistency(tri, 40)  # raises on any mismatch
+        ok = ok and report.orders_checked == 40
     _report(capsys, 7,
             "Halphen and hypergeometric J agree exactly to order 40 "
             "for five types", ok)

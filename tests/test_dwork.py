@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from triforms import dwork
 from triforms.dwork import (
     Branch,
+    DworkImage,
+    IntegralityVerdict,
     SetAlternative,
     Verdict,
     almost_integral,
@@ -16,7 +19,11 @@ from triforms.dwork import (
     takeuchi_scan,
     theorem_classifier,
 )
-from triforms.errors import PrimeDividesDenominator, SharedFactor
+from triforms.errors import (
+    InvariantViolation,
+    PrimeDividesDenominator,
+    SharedFactor,
+)
 from triforms.halphen import TriangleType
 from triforms.hypergeom import HGParams
 from triforms.rationals import QQ
@@ -59,6 +66,14 @@ class TestDworkMap:
             img = dwork_map(QQ(num, 20), p)
             assert 0 <= img.digit_witness <= p - 1
             assert p * img.image - img.x == img.digit_witness
+
+    def test_wrong_witness_is_typed_error(self):
+        # 5 * 2/3 - 1/3 = 3, not the recorded digit 0
+        with pytest.raises(InvariantViolation):
+            DworkImage(x=QQ(1, 3), prime=5, image=QQ(2, 3), digit_witness=0)
+        # consistent witness, but 10 is not a base-5 digit
+        with pytest.raises(InvariantViolation):
+            DworkImage(x=QQ(0), prime=5, image=QQ(2), digit_witness=10)
 
     def test_depends_only_on_residue_class(self):
         # delta_p(x) depends only on p mod denominator(x)
@@ -157,6 +172,14 @@ class TestHecke:
     def test_rejects_bad_input(self):
         with pytest.raises(SharedFactor):
             hecke_classifier(5, 5)
+
+    def test_disagreement_with_main_classifier_is_typed_error(self, monkeypatch):
+        # a main classifier that says non-integral everywhere must clash
+        # with the Hecke criterion at p = 29 = -1 mod 5 (above 4n)
+        monkeypatch.setattr(dwork, "theorem_classifier", lambda tri, p:
+                            IntegralityVerdict(tri, p, Verdict.NON_INTEGRAL))
+        with pytest.raises(InvariantViolation):
+            hecke_classifier(5, 29)
 
 
 class TestAlmostIntegral:

@@ -1,6 +1,7 @@
 import pytest
 
-from triforms.errors import DegenerateDenominator
+from triforms import halphen
+from triforms.errors import DegenerateDenominator, InvariantViolation
 from triforms.halphen import (
     Normalization,
     TriangleType,
@@ -57,6 +58,12 @@ class TestDeriveParams:
     def test_2_inf(self):
         p = derive_params(TriangleType(2, None))
         assert (p.a, p.b, p.c) == (QQ(1, 4), QQ(1, 4), QQ(3, 4))
+
+    def test_inexact_arithmetic_is_typed_error(self, monkeypatch):
+        # binary floats round 1/3 and break 1 - a - b = 1/m1
+        monkeypatch.setattr(halphen, "QQ", lambda num, den=1: num / den)
+        with pytest.raises(InvariantViolation):
+            derive_params(TriangleType(3, 4))
 
 
 class TestSolve:

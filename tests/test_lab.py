@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from triforms.errors import FormulaMismatch, RouteMismatch, SharedFactor
+from triforms import lab
+from triforms.errors import (
+    FormulaMismatch,
+    OrderShortfall,
+    RouteMismatch,
+    SharedFactor,
+)
 from triforms.halphen import TriangleType, solve_halphen, hauptmodul_from_halphen
 from triforms.hypergeom import HGParams, mirror_map
 from triforms.lab import (
@@ -139,7 +145,14 @@ class TestCrossRoute:
         TriangleType(2, None)])
     def test_agreement(self, tri):
         report = cross_route_consistency(tri, 40)
-        assert report.orders_checked >= 38
+        assert report.orders_checked == 40
+
+    def test_short_route_is_typed_error(self, monkeypatch):
+        # a mirror route one order short cannot certify the order asked
+        monkeypatch.setattr(lab, "mirror_map", lambda params, n:
+                            mirror_map(params, n - 1))
+        with pytest.raises(OrderShortfall):
+            cross_route_consistency(TriangleType(2, 3), 10)
 
     def test_mismatch_is_hard_error(self):
         # sabotage: compare against a wrong-kappa mirror route by hand

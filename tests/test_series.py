@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from triforms.errors import (
@@ -25,6 +25,7 @@ from triforms.series import (
 
 from conftest import (
     series,
+    small_integers,
     small_rationals,
     unit_linear_series,
     unit_series,
@@ -35,6 +36,72 @@ from conftest import (
 def ts(*coeffs, N=None):
     return TruncatedSeries([QQ(c) if "/" not in str(c) else parse_rational(str(c))
                             for c in coeffs], N)
+
+
+def naive_product(x, y):
+    """Schoolbook convolution over the rationals: the product's oracle."""
+    n = min(x.truncation, y.truncation)
+    return TruncatedSeries(
+        [sum((x.coeffs[i] * y.coeffs[k - i] for i in range(k + 1)), QQ(0))
+         for k in range(n + 1)], n)
+
+
+def naive_compose(f, g):
+    """sum_k f_k g^k, each power truncated at the common order."""
+    n = min(f.truncation, g.truncation)
+    g = g.retruncate(n)
+    acc, power = TruncatedSeries.zero(n), TruncatedSeries.one(n)
+    for c in f.coeffs[: n + 1]:
+        acc = acc + power * c
+        power = naive_product(power, g)
+    return acc
+
+
+# numerators and denominators up to 1100 bits, signs and zeros mixed in
+tall_rationals = st.builds(
+    QQ, st.integers(min_value=-2 ** 1100, max_value=2 ** 1100),
+    st.integers(min_value=1, max_value=2 ** 1100))
+mixed_coefficients = st.one_of(
+    st.just(QQ(0)), small_rationals, st.builds(QQ, small_integers),
+    tall_rationals)
+any_order_series = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: series(n, mixed_coefficients))
+
+
+class TestPackedProduct:
+    @given(any_order_series, any_order_series)
+    def test_matches_naive_convolution(self, x, y):
+        assert x * y == naive_product(x, y)
+
+    @given(series(10, st.builds(QQ, st.integers(-10 ** 6, 10 ** 6))),
+           series(7, st.builds(QQ, st.integers(-10 ** 6, 10 ** 6))))
+    def test_integer_series(self, x, y):
+        prod = x * y
+        assert prod == naive_product(x, y)
+        assert all(c.denominator == 1 for c in prod.coeffs)
+
+    def test_order_zero(self):
+        assert ts(-3, N=0) * ts("5/7", N=0) == ts("-15/7", N=0)
+        assert ts(0, N=0) * ts(4, N=0) == ts(0, N=0)
+
+    def test_full_slots_of_one_sign(self):
+        # coefficient k of the product is -(k+1) big^2: the largest
+        # magnitude a slot has to hold, with a borrow at every slot
+        big = QQ(2 ** 1200 - 1, 3)
+        x = TruncatedSeries([-big] * 9)
+        y = TruncatedSeries([big] * 9)
+        assert x * y == naive_product(x, y)
+        assert (x * y).coeffs[8] == -9 * big * big
+
+    def test_mismatched_truncations_and_zero_operand(self):
+        x = ts("2/3", -1, 0, "1/5", N=3)
+        assert x * ts(1, 1, N=6) == naive_product(x, ts(1, 1, N=6))
+        assert (x * TruncatedSeries.zero(5)) == TruncatedSeries.zero(3)
+
+    @given(series(8, mixed_coefficients),
+           zero_constant_series(8, mixed_coefficients))
+    def test_compose_matches_power_sum(self, f, g):
+        assert compose(f, g) == naive_compose(f, g)
 
 
 class TestRingOps:
@@ -169,6 +236,17 @@ class TestReversion:
     def test_composition_roundtrip(self, s):
         g = reversion(s)
         assert compose(s, g) == TruncatedSeries.identity(30)
+
+    @given(st.integers(min_value=1, max_value=24),
+           small_rationals.filter(lambda c: c not in (0, 1)),
+           st.lists(small_rationals, max_size=23))
+    @example(12, QQ(-3, 1024), [QQ(5), QQ(7, 9), QQ(-2)])
+    def test_round_trip_non_unit_linear(self, n, linear, rest):
+        s = TruncatedSeries([QQ(0), linear, *rest], n)
+        g = reversion(s)
+        assert g.coeffs[1] == 1 / linear
+        assert compose(s, g) == TruncatedSeries.identity(n)
+        assert compose(g, s) == TruncatedSeries.identity(n)
 
     def test_rejects_nonzero_constant(self):
         with pytest.raises(NotInvertible):
