@@ -16,10 +16,7 @@ from math import gcd
 from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
 from triforms.lab import empirical_integrality
-
-
-def is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+from triforms.rationals import primes
 
 
 def main():
@@ -33,8 +30,8 @@ def main():
     writer = csv.writer(sys.stdout)
     writer.writerow(["type", "p", "N", "verdict", "firstNegativeIndex",
                      "minValuation", "classifier"])
-    for p in range(2, args.pmax + 1):
-        if not is_prime(p) or gcd(p, tri.conductor) > 1:
+    for p in primes(2, args.pmax):
+        if gcd(p, tri.conductor) > 1:
             continue
         v = empirical_integrality(tri, p, args.N)
         cls = theorem_classifier(tri, p)

@@ -3,14 +3,14 @@ forms, with p-integrality classification via Dwork congruences."""
 
 from .halphen import (
     HalphenSolution,
+    HGParams,
     TriangleType,
-    derive_params,
     eisenstein_one,
     eisenstein_two,
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import HGParams, MirrorData, mirror_map, schwarz_map
+from .hypergeom import MirrorData, mirror_map, schwarz_map
 from .dwork import (
     IntegralityVerdict,
     Verdict,

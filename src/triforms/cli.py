@@ -2,8 +2,8 @@
 verification suites with machine-readable output.
 
 Subcommands: expand, classify, verify, takeuchi.  Output is JSON
-(canonical, sorted), CSV, or a pretty table; identical invocations
-produce byte-identical JSON.  Exit status is nonzero on usage errors or
+(canonical, sorted) or, for classify, CSV; identical invocations
+produce byte-identical output.  Exit status is nonzero on usage errors or
 any verification failure.
 """
 
@@ -26,13 +26,14 @@ from .dwork import (
 )
 from .errors import TriformsError, VerificationFailure
 from .halphen import (
+    HGParams,
     TriangleType,
     eisenstein_one,
     eisenstein_two,
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import HGParams, mirror_map, schwarz_map, series_f, series_g
+from .hypergeom import mirror_map, schwarz_map, series_f, series_g
 from .lab import (
     Classification,
     cross_route_consistency,
@@ -42,7 +43,7 @@ from .lab import (
     generator_integrality,
     schwarz_congruence_check,
 )
-from .rationals import QQ
+from .rationals import QQ, primes
 from .series import TruncatedSeries, log_series
 
 DEFAULT_ORDER = 120
@@ -50,28 +51,17 @@ DEFAULT_ORDER = 120
 CSV_COLUMNS = ["type", "p", "N", "verdict", "firstNegativeIndex", "minValuation"]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def parse_primes(spec: str):
-    """Inclusive 'lo..hi' range filtered by primality, or one prime."""
+    """Inclusive 'lo..hi' range filtered by primality, or one prime; a
+    range without a prime is rejected."""
     if ".." in spec:
         lo, hi = spec.split("..")
-        return [p for p in range(int(lo), int(hi) + 1) if _is_prime(p)]
+        found = primes(int(lo), int(hi))
+        if not found:
+            raise ValueError(f"no prime in {spec}")
+        return found
     p = int(spec)
-    if not _is_prime(p):
+    if primes(p, p) != [p]:
         raise ValueError(f"{p} is not prime")
     return [p]
 
@@ -88,8 +78,6 @@ def emit(payload, fmt: str, rows=None):
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
         sys.stdout.write(out.getvalue())
-    else:  # pretty
-        print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _series_catalog(tri: TriangleType, name: str, n_order: int):
@@ -255,8 +243,7 @@ def cmd_takeuchi(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "pretty"],
-                        default="json")
+    common.add_argument("--format", choices=["json", "csv"], default="json")
     parser = argparse.ArgumentParser(
         prog="triforms",
         description="Exact q-expansions and p-integrality classification "
@@ -284,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "generators", "lemma2", "dieudonne",
                                    "classifier", "remark"])
     p_verify.add_argument("--type", default=None)
-    p_verify.add_argument("--primes", "--p", dest="primes", default=None)
+    p_verify.add_argument("--primes", default=None)
     p_verify.add_argument("--N", type=int, default=60)
     p_verify.add_argument("--long", action="store_true",
                           help="enable long reproductions (183 terms)")

@@ -12,8 +12,7 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .errors import InvariantViolation, PrimeDividesDenominator, SharedFactor
-from .halphen import TriangleType
-from .hypergeom import HGParams
+from .halphen import HGParams, TriangleType
 from .rationals import QQ, numden
 
 
@@ -33,6 +32,12 @@ class DworkImage:
             raise InvariantViolation(
                 f"p * delta(x) - x = {witness} is not the digit "
                 f"{self.digit_witness} in 0..{self.prime - 1}")
+
+
+def require_coprime(tri: TriangleType, p: int) -> None:
+    """Raise SharedFactor unless p is coprime to the conductor of tri."""
+    if gcd(p, tri.conductor) > 1:
+        raise SharedFactor(f"p = {p} shares a factor with {tri.conductor}")
 
 
 def dwork_map(x, p: int) -> DworkImage:
@@ -64,9 +69,7 @@ def dwork_set_condition(params: HGParams,
                         p: int) -> Tuple[bool, Optional[SetAlternative]]:
     """The sufficient-condition set equality for p-integrality of the
     mirror map: {delta_p(a), delta_p(b)} equals {a, b} or {1-a, 1-b}."""
-    tri = params.triangle
-    if gcd(p, tri.conductor) > 1:
-        raise SharedFactor(f"p = {p} shares a factor with {tri.conductor}")
+    require_coprime(params.triangle, p)
     da = dwork_map(params.a, p).image
     db = dwork_map(params.b, p).image
     got = {da, db}
@@ -155,8 +158,7 @@ def theorem_classifier(tri: TriangleType, p: int) -> IntegralityVerdict:
     Below the theorem range the congruence outcome is still reported,
     flagged conjectural, without a verdict either way.
     """
-    if gcd(p, tri.conductor) > 1:
-        raise SharedFactor(f"p = {p} shares a factor with {tri.conductor}")
+    require_coprime(tri, p)
     witness = _congruence_witness(tri, p)
     if p <= theorem_threshold(tri):
         return IntegralityVerdict(

@@ -27,7 +27,7 @@ from .errors import (
     SingularSystem,
 )
 from .rationals import ONE, QQ, ZERO
-from .series import LaurentSeries, TruncatedSeries
+from .series import LaurentSeries, TruncatedSeries, theta_derivative
 
 INFINITY = None  # m2 = infinity marker
 
@@ -75,16 +75,34 @@ class TriangleType:
 
 
 @dataclass(frozen=True)
-class HalphenParams:
-    """Parameters (a, b, c) of the Halphen system for a triangle type."""
+class HGParams:
+    """Parameters of a triangle type, shared by the Halphen system and
+    the hypergeometric route: a = (1 - 1/m1 + 1/m2)/2 and
+    b = (1 - 1/m1 - 1/m2)/2; the Halphen system's third is c = 1 - a."""
 
     a: object
     b: object
-    c: object
+    triangle: TriangleType
+
+    @classmethod
+    def for_type(cls, tri: TriangleType) -> "HGParams":
+        """The unique (a, b) with 1 - a - b = 1/m1 and 1 - b - c = 1/m2
+        for c = 1 - a."""
+        inv1 = QQ(1, tri.m1)
+        inv2 = QQ(1, tri.m2) if tri.m2_finite else ZERO
+        a = (1 - inv1 + inv2) / 2
+        b = (1 - inv1 - inv2) / 2
+        c = 1 - a
+        # cross-check against the defining relations
+        if not (1 - a - b == inv1 and 1 - b - c == inv2):
+            raise InvariantViolation(f"parameters {a}, {b} for {tri} "
+                                     "break the defining relations")
+        return cls(a, b, tri)
 
     def __post_init__(self):
-        if self.c != 1 - self.a:
-            raise ValueError("parameter relation 1 - a - c = 0 violated")
+        # strict ordering 0 < b <= a < 1, equality only for m2 = inf
+        if not (0 < self.b <= self.a < 1):
+            raise ValueError("parameters outside (0, 1) or misordered")
 
 
 class Normalization(Enum):
@@ -99,24 +117,6 @@ class HalphenSolution:
     t2: TruncatedSeries
     t3: TruncatedSeries
     normalization_note: Normalization
-
-
-def derive_params(tri: TriangleType) -> HalphenParams:
-    """Unique (a, b, c) solving the three linear parameter relations.
-
-    These coincide with the hypergeometric parameters: a and b come out
-    as (1 - 1/m1 + 1/m2)/2 and (1 - 1/m1 - 1/m2)/2, and c = 1 - a.
-    """
-    inv1 = QQ(1, tri.m1)
-    inv2 = QQ(1, tri.m2) if tri.m2_finite else ZERO
-    a = (1 - inv1 + inv2) / 2
-    b = (1 - inv1 - inv2) / 2
-    c = 1 - a
-    # cross-check against the defining relations
-    if not (1 - a - b == inv1 and 1 - b - c == inv2 and 1 - a - c == 0):
-        raise InvariantViolation(f"parameters {a}, {b}, {c} for {tri} "
-                                 "break the defining relations")
-    return HalphenParams(a, b, c)
 
 
 def prescribed_t2_slope(tri: TriangleType):
@@ -158,8 +158,8 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     """
     if n_order < 2:
         raise ValueError("need n_order >= 2")
-    params = derive_params(tri)
-    a, b, c = params.a, params.b, params.c
+    params = HGParams.for_type(tri)
+    a, b, c = params.a, params.b, 1 - params.a
 
     t = [[ZERO], [QQ(-1)], [ZERO]]  # t1, t2, t3 coefficient lists
 
@@ -235,13 +235,10 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
 
 
 def halphen_residuals(sol: HalphenSolution) -> list:
-    """The three equation residuals, exact to order N - 1 (theta loses
-    one order on the left-hand side only formally; the residual is
-    checked where both sides are known)."""
-    from .series import theta_derivative
-
-    params = derive_params(sol.triangle)
-    a, b, c = params.a, params.b, params.c
+    """The three equation residuals, with the solution's truncation N;
+    for an exact solution every coefficient through q^N is zero."""
+    params = HGParams.for_type(sol.triangle)
+    a, b, c = params.a, params.b, 1 - params.a
     t1, t2, t3 = sol.t1, sol.t2, sol.t3
     res = [
         theta_derivative(t1) - ((a - 1) * (t1 * t2 + t1 * t3 - t2 * t3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import halphen
-from .halphen import TriangleType
+from .halphen import HGParams, TriangleType
 from .rationals import ONE, QQ, ZERO
 from .series import (
     LaurentSeries,
@@ -27,36 +27,10 @@ from .series import (
 
 
 @dataclass(frozen=True)
-class HGParams:
-    """Hypergeometric parameters for a triangle type:
-    a = (1 - 1/m1 + 1/m2)/2, b = (1 - 1/m1 - 1/m2)/2."""
-
-    a: object
-    b: object
-    triangle: TriangleType
-
-    @classmethod
-    def for_type(cls, tri: TriangleType) -> "HGParams":
-        inv1 = QQ(1, tri.m1)
-        inv2 = QQ(1, tri.m2) if tri.m2_finite else ZERO
-        a = (1 - inv1 + inv2) / 2
-        b = (1 - inv1 - inv2) / 2
-        return cls(a, b, tri)
-
-    def __post_init__(self):
-        # strict ordering 0 < b <= a < 1, equality only for m2 = inf
-        if not (0 < self.b <= self.a < 1):
-            raise ValueError("parameters outside (0, 1) or misordered")
-
-
-@dataclass(frozen=True)
 class MirrorData:
     """Everything the mirror-map pipeline produces for one type."""
 
     params: HGParams
-    F: TruncatedSeries
-    G: TruncatedSeries
-    D: TruncatedSeries
     q_of_z: TruncatedSeries
     z_of_q: TruncatedSeries
     kappa: object
@@ -115,10 +89,7 @@ def mirror_map(params: HGParams, n_order: int,
     (and full agreement is asserted separately in the verification lab).
     """
     tri = params.triangle
-    f = series_f(params, n_order)
-    g = series_g(params, n_order)
-    d = divide(g, f)
-    q_of_z = exp_series(d).shift(1)
+    q_of_z = exp_series(schwarz_map(params, n_order)).shift(1)
     z_of_q = reversion(q_of_z)
     if kappa is None:
         gap = _halphen_linear_gap(tri)
@@ -130,8 +101,8 @@ def mirror_map(params: HGParams, n_order: int,
             raise ValueError(
                 f"no kappa candidate matches the Halphen linear data {gap}")
     j = 1 / LaurentSeries.from_truncated(scale_argument(z_of_q, kappa))
-    return MirrorData(params=params, F=f, G=g, D=d, q_of_z=q_of_z,
-                      z_of_q=z_of_q, kappa=kappa, J=j)
+    return MirrorData(params=params, q_of_z=q_of_z, z_of_q=z_of_q,
+                      kappa=kappa, J=j)
 
 
 def binomial_series(alpha, n_order: int) -> TruncatedSeries:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
 from typing import List, Optional, Tuple
 
-from .errors import FormulaMismatch, OrderShortfall, RouteMismatch, SharedFactor
+from .errors import FormulaMismatch, OrderShortfall, RouteMismatch
 from .halphen import (
+    HGParams,
     TriangleType,
     eisenstein_one,
     eisenstein_two,
@@ -29,8 +29,8 @@ from .halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import HGParams, mirror_map, schwarz_map
-from .dwork import dwork_map
+from .hypergeom import mirror_map, schwarz_map
+from .dwork import dwork_map, require_coprime
 from .rationals import padic_valuation, rational_to_str
 from .series import (
     LaurentSeries,
@@ -95,11 +95,6 @@ class EmpiricalVerdict:
         }
 
 
-def _require_coprime(tri: TriangleType, p: int):
-    if gcd(p, tri.conductor) > 1:
-        raise SharedFactor(f"p = {p} shares a factor with {tri.conductor}")
-
-
 def mirror_map_unit(tri: TriangleType, n_order: int) -> TruncatedSeries:
     """q(a,b|z)/z = exp(D) to order n_order; leading coefficient 1, and
     index i here is the coefficient of z^(i+1) in q(a,b|z)."""
@@ -111,7 +106,7 @@ def empirical_integrality(tri: TriangleType, p: int,
                           n_order: int) -> EmpiricalVerdict:
     """Valuation profile of the mirror map q(a,b|z), normalized to
     leading coefficient 1; indices are exponents of z in q(a,b|z)."""
-    _require_coprime(tri, p)
+    require_coprime(tri, p)
     unit = mirror_map_unit(tri, n_order)
     base = valuation_profile(unit, p)
     # report indices as z-exponents of q(a,b|z): shift by one
@@ -146,7 +141,7 @@ def dwork_congruence_check(tri: TriangleType, p: int,
     """D(delta(a), delta(b) | z^p) - p D(a,b|z): every coefficient must
     have p-adic valuation >= 1.  Holds unconditionally (no integrality
     hypothesis)."""
-    _require_coprime(tri, p)
+    require_coprime(tri, p)
     params = HGParams.for_type(tri)
     lhs = substitute_power(schwarz_map(_dwork_images(tri, p), n_order), p)
     rhs = p * schwarz_map(params, n_order)
@@ -161,7 +156,7 @@ def schwarz_congruence_check(tri: TriangleType, p: int,
     """D(delta(a), delta(b) | z) - D(a,b|z): valuation >= 1 everywhere
     exactly when the mirror map is p-integral (the biconditional is
     observed, not assumed)."""
-    _require_coprime(tri, p)
+    require_coprime(tri, p)
     params = HGParams.for_type(tri)
     lhs = schwarz_map(_dwork_images(tri, p), n_order)
     rhs = schwarz_map(params, n_order)
@@ -245,7 +240,7 @@ def generator_integrality(tri: TriangleType, p: int, n_order: int
     """Every generator in the algebra lists, computed both as a
     t-product and by the J-derivative formula; the two must agree
     exactly, and each generator's valuation profile is returned."""
-    _require_coprime(tri, p)
+    require_coprime(tri, p)
     sol = solve_halphen(tri, n_order + 2)
     j = hauptmodul_from_halphen(sol)
     results = []

@@ -10,6 +10,7 @@ active.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 try:
     from gmpy2 import mpq as _backend
@@ -69,6 +70,12 @@ def padic_valuation(x, p: int):
     if den % p == 0:
         return -int_valuation(den, p)
     return 0
+
+
+def primes(lo: int, hi: int) -> list:
+    """The primes p with lo <= p <= hi, by trial division."""
+    return [n for n in range(max(lo, 2), hi + 1)
+            if all(n % d for d in range(2, isqrt(n) + 1))]
 
 
 def rational_to_str(x) -> str:

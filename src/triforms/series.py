@@ -375,32 +375,31 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
 # --------------------------------------------------------------------------
 
 class LaurentSeries:
-    """Sum of c_e q^e for lowest_exponent <= e <= truncation.
+    """Sum of c_e q^e for lowest_exponent <= e <= truncation, held as
+    q^lowest_exponent times a power series body.
 
     The coefficient at the lowest exponent is nonzero unless the series
-    is identically zero over its window (canonicalized on construction).
+    is identically zero over its window; the zero series has no body and
+    lowest_exponent = truncation + 1 (canonicalized on construction).
+    Every coefficient operation is done on bodies by TruncatedSeries.
     """
 
-    __slots__ = ("lowest_exponent", "coeffs", "truncation")
+    __slots__ = ("lowest_exponent", "body", "truncation")
 
     def __init__(self, lowest_exponent: int, coeffs, truncation: Optional[int] = None):
-        coeffs = [QQ(c) for c in coeffs]
+        coeffs = list(coeffs)
         if truncation is None:
             truncation = lowest_exponent + len(coeffs) - 1
         width = truncation - lowest_exponent + 1
         if width < 0:
             raise ValueError("truncation below lowest exponent")
-        if len(coeffs) < width:
-            coeffs += [ZERO] * (width - len(coeffs))
-        coeffs = coeffs[:width]
         # canonicalize: strip leading zeros
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            lowest_exponent += 1
-        if not coeffs:
-            lowest_exponent = truncation + 1
-        object.__setattr__(self, "lowest_exponent", lowest_exponent)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        lead = next((i for i, c in enumerate(coeffs[:width]) if QQ(c) != 0),
+                    width)
+        body = (TruncatedSeries(coeffs[lead:], width - lead - 1)
+                if lead < width else None)
+        object.__setattr__(self, "lowest_exponent", lowest_exponent + lead)
+        object.__setattr__(self, "body", body)
         object.__setattr__(self, "truncation", truncation)
 
     def __setattr__(self, name, value):
@@ -409,17 +408,27 @@ class LaurentSeries:
     @classmethod
     def from_truncated(cls, s: TruncatedSeries, shift: int = 0) -> "LaurentSeries":
         """View a power series as Laurent, optionally shifted by q^shift."""
-        return cls(shift, list(s.coeffs), s.truncation + shift)
+        return cls(shift, s.coeffs, s.truncation + shift)
+
+    def _window(self, lo: int, top: int) -> TruncatedSeries:
+        """The coefficients of q^lo..q^top as a power series, for
+        lo <= min(lowest_exponent, top); zero below the lowest exponent."""
+        return TruncatedSeries(
+            [ZERO] * (self.lowest_exponent - lo) + list(self.coeffs), top - lo)
 
     def to_truncated(self) -> TruncatedSeries:
         """Back to a power series; all negative exponents must be absent."""
         if self.lowest_exponent < 0:
             raise ValueError("series has a pole; cannot convert")
-        return TruncatedSeries(
-            [ZERO] * self.lowest_exponent + list(self.coeffs), self.truncation)
+        return self._window(0, self.truncation)
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients of q^lowest_exponent..q^truncation."""
+        return () if self.body is None else self.body.coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.body is None
 
     def coefficient(self, e: int):
         if e > self.truncation:
@@ -446,11 +455,9 @@ class LaurentSeries:
         """First exponent (up to the common truncation) where the two
         disagree, or None."""
         top = min(self.truncation, other.truncation)
-        lo = min(self.lowest_exponent, other.lowest_exponent)
-        for e in range(lo, top + 1):
-            if self.coefficient(e) != other.coefficient(e):
-                return e
-        return None
+        lo = min(self.lowest_exponent, other.lowest_exponent, top)
+        i = self._window(lo, top).agrees_with(other._window(lo, top))
+        return None if i is None else lo + i
 
     def __repr__(self):
         head = ", ".join(
@@ -466,15 +473,16 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         top = min(self.truncation, other.truncation)
-        lo = min(self.lowest_exponent, other.lowest_exponent, top + 1)
-        out = [self.coefficient(e) + other.coefficient(e) for e in range(lo, top + 1)]
-        return LaurentSeries(lo, out, top)
+        lo = min(self.lowest_exponent, other.lowest_exponent, top)
+        return LaurentSeries.from_truncated(
+            self._window(lo, top) + other._window(lo, top), lo)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(
-            self.lowest_exponent, [-c for c in self.coeffs], self.truncation)
+        lo = min(self.lowest_exponent, self.truncation)
+        return LaurentSeries.from_truncated(
+            -self._window(lo, self.truncation), lo)
 
     def __sub__(self, other):
         if is_rational(other):
@@ -488,34 +496,29 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if is_rational(other):
-            return LaurentSeries(
-                self.lowest_exponent, [QQ(other) * c for c in self.coeffs],
-                self.truncation)
+            lo = min(self.lowest_exponent, self.truncation)
+            return LaurentSeries.from_truncated(
+                self._window(lo, self.truncation) * other, lo)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            top = min(self.truncation + other.lowest_exponent,
-                      other.truncation + self.lowest_exponent)
-            return LaurentSeries(top + 1, [], top)
-        lo = self.lowest_exponent + other.lowest_exponent
         top = min(self.truncation + other.lowest_exponent,
                   other.truncation + self.lowest_exponent)
-        a = TruncatedSeries(list(self.coeffs), top - self.lowest_exponent
-                            - other.lowest_exponent)
-        b = TruncatedSeries(list(other.coeffs), top - self.lowest_exponent
-                            - other.lowest_exponent)
-        prod = a * b
-        return LaurentSeries(lo, list(prod.coeffs), top)
+        if self.is_zero() or other.is_zero():
+            return LaurentSeries(top + 1, [], top)
+        return LaurentSeries.from_truncated(
+            self.body * other.body,
+            self.lowest_exponent + other.lowest_exponent)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers: divide explicitly")
-        result = LaurentSeries(0, [ONE], self.truncation - self.lowest_exponent)
-        for _ in range(k):
-            result = result * self
-        return result
+        lo = self.lowest_exponent
+        top = k * lo + self.truncation - lo
+        if self.is_zero():
+            return LaurentSeries(top + 1, [], top)
+        return LaurentSeries.from_truncated(self.body ** k, k * lo)
 
     def __truediv__(self, other):
         if is_rational(other):
@@ -525,11 +528,9 @@ class LaurentSeries:
         if other.is_zero():
             raise ZeroConstantTerm("division by zero Laurent series")
         # other = q^l * unit; invert the unit part as a power series
-        l = other.lowest_exponent
-        unit = TruncatedSeries(list(other.coeffs), other.truncation - l)
-        inv_unit = divide(TruncatedSeries.one(unit.truncation), unit)
-        inv = LaurentSeries(-l, list(inv_unit.coeffs), inv_unit.truncation - l)
-        return self * inv
+        unit = other.body
+        inv = divide(TruncatedSeries.one(unit.truncation), unit)
+        return self * LaurentSeries.from_truncated(inv, -other.lowest_exponent)
 
     def __rtruediv__(self, other):
         if is_rational(other):

@@ -18,6 +18,7 @@ from triforms.dwork import (
     theorem_classifier,
 )
 from triforms.halphen import (
+    HGParams,
     TriangleType,
     eisenstein_one,
     eisenstein_two,
@@ -26,7 +27,7 @@ from triforms.halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.hypergeom import HGParams, euler_identity_check, schwarz_map
+from triforms.hypergeom import euler_identity_check, schwarz_map
 from triforms.lab import (
     Classification,
     cross_route_consistency,
@@ -36,7 +37,7 @@ from triforms.lab import (
     mirror_map_unit,
 )
 from triforms.series import LaurentSeries, ValuationProfile, valuation_profile
-from triforms.rationals import padic_valuation
+from triforms.rationals import padic_valuation, primes
 
 
 def _report(capsys, number, description, ok):
@@ -44,11 +45,6 @@ def _report(capsys, number, description, ok):
     with capsys.disabled():
         print(line)
     assert ok, line
-
-
-def _primes(lo, hi):
-    return [p for p in range(max(lo, 2), hi)
-            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
 
 
 def _classifier_matrix_types():
@@ -102,7 +98,7 @@ def test_criterion_04_classifier_equivalence(capsys):
     for tri in _classifier_matrix_types():
         params = HGParams.for_type(tri)
         threshold = tri.conductor
-        for p in _primes(threshold + 1, 500):
+        for p in primes(threshold + 1, 499):
             if gcd(p, tri.conductor) > 1:
                 continue
             verdict = theorem_classifier(tri, p)
@@ -139,13 +135,13 @@ def test_criterion_06_schwarz_biconditional(capsys):
     ok, cells = True, 0
     for tri in _classifier_matrix_types():
         lo = tri.conductor
-        primes = [p for p in _primes(lo + 1, 100) if gcd(p, lo) == 1]
-        if not primes:
+        coprime = [p for p in primes(lo + 1, 99) if gcd(p, lo) == 1]
+        if not coprime:
             continue
         params = HGParams.for_type(tri)
         base_map = schwarz_map(params, n_order)
-        unit = mirror_map_unit(tri, max(n_order, 2 * primes[-1] + 20))
-        for p in primes:
+        unit = mirror_map_unit(tri, max(n_order, 2 * coprime[-1] + 20))
+        for p in coprime:
             from triforms.lab import _dwork_images
             twisted = schwarz_map(_dwork_images(tri, p), n_order)
             congruent = all(
@@ -175,7 +171,7 @@ def test_criterion_08_hecke_equivalence(capsys):
     ok = True
     for n in (5, 7, 9):
         tri = TriangleType(2, n)
-        for p in _primes(4 * n + 1, 1000):
+        for p in primes(4 * n + 1, 999):
             if gcd(p, 2 * n) > 1:
                 continue
             residue = p % n in (1, n - 1)

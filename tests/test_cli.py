@@ -98,6 +98,13 @@ class TestClassify:
         assert lines[0] == "type,p,N,verdict,firstNegativeIndex,minValuation"
         assert len(lines) == 1 + 4  # 5, 7, 11, 13
 
+    def test_range_without_primes_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--type", "2,5",
+                             "--primes", "24..28")
+        assert code == 2
+        assert out == ""
+        assert "no prime" in err
+
 
 class TestVerify:
     def test_cross_route(self, capsys):
@@ -128,6 +135,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "classifier",
                          "--type", "2,5", "--primes", "21..60")
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["schwarz", "lemma2", "dieudonne"])
+    def test_range_without_primes_is_usage_error(self, capsys, suite):
+        # an empty range must not fall back to the suite's default primes
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--type", "2,5", "--primes", "24..28")
+        assert code == 2
+        assert out == ""
+        assert "no prime" in err
 
     def test_long_gate(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "remark")

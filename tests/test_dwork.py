@@ -24,9 +24,8 @@ from triforms.errors import (
     PrimeDividesDenominator,
     SharedFactor,
 )
-from triforms.halphen import TriangleType
-from triforms.hypergeom import HGParams
-from triforms.rationals import QQ
+from triforms.halphen import HGParams, TriangleType
+from triforms.rationals import QQ, primes
 
 
 class TestDworkMap:
@@ -163,8 +162,8 @@ class TestHecke:
 
     def test_agrees_with_main_classifier(self):
         for n in (5, 7, 9):
-            for p in range(4 * n + 1, 400):
-                if gcd(p, 2 * n) > 1 or not _is_prime(p):
+            for p in primes(4 * n + 1, 399):
+                if gcd(p, 2 * n) > 1:
                     continue
                 expected = p % n in (1, n - 1)
                 assert hecke_classifier(n, p) == expected
@@ -234,7 +233,3 @@ class TestLemmaTwo:
         sigma, tau = symbols("sigma tau")
         assert simplify((2 - sigma) - 2 * (1 - sigma + tau)
                         - (sigma - 2 * tau)) == 0
-
-
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))

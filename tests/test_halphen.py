@@ -3,9 +3,9 @@ import pytest
 from triforms import halphen
 from triforms.errors import DegenerateDenominator, InvariantViolation
 from triforms.halphen import (
+    HGParams,
     Normalization,
     TriangleType,
-    derive_params,
     eisenstein_one,
     eisenstein_two,
     generator_range,
@@ -45,25 +45,27 @@ class TestTriangleType:
 
 
 class TestDeriveParams:
+    """HGParams.for_type: (a, b) and the Halphen system's c = 1 - a."""
+
     def test_2_3(self):
-        p = derive_params(TriangleType(2, 3))
-        assert (p.a, p.b, p.c) == (QQ(5, 12), QQ(1, 12), QQ(7, 12))
+        p = HGParams.for_type(TriangleType(2, 3))
+        assert (p.a, p.b, 1 - p.a) == (QQ(5, 12), QQ(1, 12), QQ(7, 12))
 
     def test_cusp_double_equal_parameters(self):
         # (m, inf): a = b = (m-1)/(2m)
         for m in (2, 3, 5, 7):
-            p = derive_params(TriangleType(m, None))
+            p = HGParams.for_type(TriangleType(m, None))
             assert p.a == p.b == QQ(m - 1, 2 * m)
 
     def test_2_inf(self):
-        p = derive_params(TriangleType(2, None))
-        assert (p.a, p.b, p.c) == (QQ(1, 4), QQ(1, 4), QQ(3, 4))
+        p = HGParams.for_type(TriangleType(2, None))
+        assert (p.a, p.b, 1 - p.a) == (QQ(1, 4), QQ(1, 4), QQ(3, 4))
 
     def test_inexact_arithmetic_is_typed_error(self, monkeypatch):
         # binary floats round 1/3 and break 1 - a - b = 1/m1
         monkeypatch.setattr(halphen, "QQ", lambda num, den=1: num / den)
         with pytest.raises(InvariantViolation):
-            derive_params(TriangleType(3, 4))
+            HGParams.for_type(TriangleType(3, 4))
 
 
 class TestSolve:

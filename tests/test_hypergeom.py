@@ -1,8 +1,7 @@
 import pytest
 
-from triforms.halphen import TriangleType, solve_halphen
+from triforms.halphen import HGParams, TriangleType, solve_halphen
 from triforms.hypergeom import (
-    HGParams,
     binomial_series,
     complement,
     euler_identity_check,
@@ -36,14 +35,6 @@ class TestParams:
     def test_values_2_3(self):
         p = HGParams.for_type(TRI23)
         assert (p.a, p.b) == (QQ(5, 12), QQ(1, 12))
-
-    def test_matches_halphen_parameters(self):
-        # the ODE-side (a, b) and the hypergeometric (a, b) coincide
-        from triforms.halphen import derive_params
-        for tri in (TRI23, TRI37, TriangleType(4, None)):
-            hp = derive_params(tri)
-            hg = HGParams.for_type(tri)
-            assert (hp.a, hp.b) == (hg.a, hg.b)
 
     def test_ordering_invariant(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,9 @@ from triforms.errors import (
     RouteMismatch,
     SharedFactor,
 )
-from triforms.halphen import TriangleType, solve_halphen, hauptmodul_from_halphen
-from triforms.hypergeom import HGParams, mirror_map
+from triforms.halphen import (
+    HGParams, TriangleType, hauptmodul_from_halphen, solve_halphen)
+from triforms.hypergeom import mirror_map
 from triforms.lab import (
     Classification,
     cross_route_consistency,

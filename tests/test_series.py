@@ -328,6 +328,136 @@ class TestLaurent:
             LaurentSeries(-1, [QQ(1)], 2).to_truncated()
 
 
+class NaiveLaurent:
+    """Oracle for LaurentSeries: an exponent -> coefficient dict of the
+    nonzero terms through a truncation, with schoolbook arithmetic."""
+
+    def __init__(self, terms, top):
+        self.terms = {e: QQ(c) for e, c in terms.items() if c and e <= top}
+        self.top = top
+
+    @classmethod
+    def of(cls, s):
+        return cls({s.lowest_exponent + i: c for i, c in enumerate(s.coeffs)},
+                   s.truncation)
+
+    @property
+    def lo(self):
+        return min(self.terms, default=self.top + 1)
+
+    def shape(self):
+        """(lowest_exponent, coeffs, truncation) of the canonical form."""
+        lo = self.lo
+        return (lo, tuple(self.terms.get(e, 0) for e in range(lo, self.top + 1)),
+                self.top)
+
+    def __add__(self, other):
+        keys = set(self.terms) | set(other.terms)
+        return NaiveLaurent(
+            {e: self.terms.get(e, 0) + other.terms.get(e, 0) for e in keys},
+            min(self.top, other.top))
+
+    def __neg__(self):
+        return NaiveLaurent({e: -c for e, c in self.terms.items()}, self.top)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return NaiveLaurent(out, min(self.top + other.lo, other.top + self.lo))
+
+    def inverse(self):
+        """q^-l / u for self = q^l u, u known through q^(top - l)."""
+        l, n = self.lo, self.top - self.lo
+        u = [self.terms.get(l + i, 0) for i in range(n + 1)]
+        v = []
+        for k in range(n + 1):
+            acc = QQ(int(k == 0)) - sum((u[i] * v[k - i] for i in range(1, k + 1)),
+                                        QQ(0))
+            v.append(acc / u[0])
+        return NaiveLaurent({k - l: c for k, c in enumerate(v)}, n - l)
+
+    def power(self, k):
+        out = NaiveLaurent({0: 1}, self.top - self.lo)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def theta(self):
+        return NaiveLaurent({e: e * c for e, c in self.terms.items()}, self.top)
+
+    def agrees_with(self, other):
+        top = min(self.top, other.top)
+        for e in range(min(self.lo, other.lo), top + 1):
+            if self.terms.get(e, 0) != other.terms.get(e, 0):
+                return e
+        return None
+
+
+def _shape(s):
+    return s.lowest_exponent, s.coeffs, s.truncation
+
+
+# lowest exponent -2..2 (poles of order 1 and 2), up to two explicit
+# leading zeros, up to two zero-padded slots above the listed terms
+laurent_series = st.builds(
+    lambda lo, zeros, cs, pad: LaurentSeries(
+        lo, [QQ(0)] * zeros + cs, lo + zeros + len(cs) - 1 + pad),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.lists(small_rationals, max_size=5),
+    st.integers(min_value=0, max_value=2))
+
+
+class TestLaurentDifferential:
+    """Every LaurentSeries operation against NaiveLaurent: lowest
+    exponent, coefficients and truncation."""
+
+    zero = LaurentSeries(-1, [], 3)
+    pole2 = LaurentSeries(-2, [QQ(0), QQ(0), QQ(2), QQ(-1)], 2)
+
+    @given(laurent_series, laurent_series, small_rationals)
+    @example(zero, pole2, QQ(-3, 2))
+    @example(pole2, LaurentSeries(-1, [QQ(3), QQ(1, 2)], 4), QQ(0))
+    def test_ring_operations(self, x, y, c):
+        nx, ny = NaiveLaurent.of(x), NaiveLaurent.of(y)
+        assert _shape(x) == nx.shape()
+        assert _shape(x + y) == (nx + ny).shape()
+        assert _shape(x - y) == (nx + -ny).shape()
+        assert _shape(-x) == (-nx).shape()
+        assert _shape(x * y) == (nx * ny).shape()
+        assert _shape(c * x) == NaiveLaurent(
+            {e: c * v for e, v in nx.terms.items()}, nx.top).shape()
+        assert x.agrees_with(y) == nx.agrees_with(ny)
+        assert x.agrees_with(x) is None
+
+    @given(laurent_series, laurent_series)
+    @example(pole2, pole2)
+    @example(zero, pole2)
+    def test_division(self, x, y):
+        if y.is_zero():
+            with pytest.raises(ZeroConstantTerm):
+                x / y
+            return
+        nx, ny = NaiveLaurent.of(x), NaiveLaurent.of(y)
+        assert _shape(x / y) == (nx * ny.inverse()).shape()
+        assert _shape(1 / y) == ny.inverse().shape()
+
+    @given(laurent_series, st.integers(min_value=0, max_value=4))
+    @example(zero, 3)
+    @example(pole2, 2)
+    def test_power_and_theta(self, x, k):
+        nx = NaiveLaurent.of(x)
+        assert _shape(x ** k) == nx.power(k).shape()
+        if k:
+            product = x
+            for _ in range(k - 1):
+                product = product * x
+            assert _shape(x ** k) == _shape(product)
+        assert _shape(x.theta()) == nx.theta().shape()
+
+
 class TestSerialization:
     def test_rational_round_trip(self):
         assert rational_to_str(QQ(-5, 12)) == "-5/12"
