@@ -2,9 +2,9 @@
 verification suites with machine-readable output.
 
 Subcommands: expand, classify, verify, takeuchi.  Output is JSON
-(canonical, sorted) or, for classify, CSV; identical invocations
-produce byte-identical output.  Exit status is nonzero on usage errors or
-any verification failure.
+(canonical, sorted) or, for classify with --format csv, CSV; identical
+invocations produce byte-identical output.  Exit status is nonzero on
+usage errors or any verification failure.
 """
 
 from __future__ import annotations
@@ -50,6 +50,19 @@ DEFAULT_ORDER = 120
 
 CSV_COLUMNS = ["type", "p", "N", "verdict", "firstNegativeIndex", "minValuation"]
 
+#: The options each verify suite reads; passing any other is a usage error.
+SUITE_OPTIONS = {
+    "cross-route": ("type", "N"),
+    "dwork": ("type", "primes", "N"),
+    "schwarz": ("type", "primes", "N"),
+    "generators": ("type", "primes", "N"),
+    "lemma2": ("primes",),
+    "dieudonne": ("primes", "N"),
+    "classifier": ("type", "primes"),
+    "remark": ("long",),
+}
+VERIFY_ORDER = 60
+
 
 def parse_primes(spec: str):
     """Inclusive 'lo..hi' range filtered by primality, or one prime; a
@@ -66,12 +79,11 @@ def parse_primes(spec: str):
     return [p]
 
 
-def emit(payload, fmt: str, rows=None):
+def emit(payload, fmt: str = "json", rows=None):
+    """Print canonical JSON, or for fmt 'csv' the rows as a CSV table."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif fmt == "csv":
-        if rows is None:
-            raise ValueError("no CSV table for this command")
+    else:
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -115,7 +127,7 @@ def cmd_expand(args) -> int:
     data = _series_catalog(tri, args.series, args.N)
     payload = {"command": "expand", "type": str(tri), "series": args.series,
                "N": args.N, "result": data}
-    emit(payload, args.format)
+    emit(payload)
     return 0
 
 
@@ -214,6 +226,13 @@ def _default_primes(tri: TriangleType):
 
 
 def cmd_verify(args) -> int:
+    unread = [f"--{opt}" for opt in ("type", "primes", "N", "long")
+              if getattr(args, opt) is not None
+              and opt not in SUITE_OPTIONS[args.suite]]
+    if unread:
+        raise ValueError(f"suite {args.suite} does not read {', '.join(unread)}")
+    if args.N is None:
+        args.N = VERIFY_ORDER
     cells = []
     failures = []
     for name, ok, extra in _verify_cells(args):
@@ -223,7 +242,7 @@ def cmd_verify(args) -> int:
     cells.sort(key=lambda c: c["cell"])
     payload = {"command": "verify", "suite": args.suite, "N": args.N,
                "cells": cells, "failures": failures}
-    emit(payload, args.format)
+    emit(payload)
     if failures:
         raise VerificationFailure(f"failing cells: {failures}")
     return 0
@@ -237,20 +256,16 @@ def cmd_takeuchi(args) -> int:
     found = sorted(str(t) for t in takeuchi_scan(args.bound))
     payload = {"command": "takeuchi", "bound": args.bound, "types": found,
                "matches_expected": found == sorted(EXPECTED_TAKEUCHI)}
-    emit(payload, args.format)
+    emit(payload)
     return 0 if payload["matches_expected"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
     parser = argparse.ArgumentParser(
         prog="triforms",
         description="Exact q-expansions and p-integrality classification "
                     "for hyperbolic triangle groups with a cusp")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_expand = sub.add_parser("expand", help="print a q- or z-expansion")
     p_expand.add_argument("--type", required=True, help="m1,m2 ('inf' allowed)")
@@ -263,17 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--type", required=True)
     p_classify.add_argument("--primes", required=True,
                             help="a prime or an inclusive range lo..hi")
+    p_classify.add_argument("--format", choices=["json", "csv"], default="json")
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True,
-                          choices=["cross-route", "dwork", "schwarz",
-                                   "generators", "lemma2", "dieudonne",
-                                   "classifier", "remark"])
+    p_verify.add_argument("--suite", required=True, choices=list(SUITE_OPTIONS))
     p_verify.add_argument("--type", default=None)
     p_verify.add_argument("--primes", default=None)
-    p_verify.add_argument("--N", type=int, default=60)
-    p_verify.add_argument("--long", action="store_true",
+    p_verify.add_argument("--N", type=int, default=None,
+                          help=f"series order (default {VERIFY_ORDER})")
+    p_verify.add_argument("--long", action="store_true", default=None,
                           help="enable long reproductions (183 terms)")
     p_verify.set_defaults(func=cmd_verify)
 

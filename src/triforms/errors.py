@@ -30,14 +30,6 @@ class NotInvertible(TriformsError):
 
 # --- Halphen solver ------------------------------------------------------
 
-class SingularSystem(TriformsError):
-    """The 3x3 coefficient system at some order n >= 2 is singular."""
-
-
-class InconsistentOrderOne(TriformsError):
-    """Rank-deficient order-1 system contradicts the prescribed t2 slope."""
-
-
 class DegenerateDenominator(TriformsError):
     """t3 - t1 has zero linear coefficient; the Hauptmodul has no pole."""
 

@@ -9,24 +9,20 @@ The system solved here is the coupled quadratic ODE system
 
 with th = q d/dq, parameters tied to the triangle type (m1, m2, inf) by
 1-a-b = 1/m1, 1-b-c = 1/m2, 1-a-c = 0, and the initial data
-t1(0) = t3(0) = 0, t2(0) = -1 with a prescribed linear coefficient of
-t2.  Matching q^n coefficients gives an exact 3x3 linear system per
-order, solved by Gaussian elimination over the rationals.
+t1(0) = t3(0) = 0, t2(0) = -1.  Matching q^n coefficients gives a
+linear system per order.  At order 1 it is rank-deficient; the free
+scale is fixed by t3_1 - t1_1 = kappa, the q-scaling of the
+hypergeometric route.  At every order n >= 2 the t1/t3 block has
+determinant n(n-1) and is solved by Cramer's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
-from .errors import (
-    DegenerateDenominator,
-    InconsistentOrderOne,
-    InvariantViolation,
-    SingularSystem,
-)
-from .rationals import ONE, QQ, ZERO
+from .errors import DegenerateDenominator, InvariantViolation
+from .rationals import QQ, ZERO
 from .series import LaurentSeries, TruncatedSeries, theta_derivative
 
 INFINITY = None  # m2 = infinity marker
@@ -59,6 +55,13 @@ class TriangleType:
         """2*m1*m2, the modulus of all congruence conditions (2*m1 when
         m2 is infinite)."""
         return 2 * self.m1 * (self.m2 if self.m2_finite else 1)
+
+    @property
+    def kappa(self):
+        """2*m1^2*m2^2 (2*m1^2 when m2 is infinite), as a rational: the
+        q-scaling J = 1/z(kappa*q) of the hypergeometric route and the
+        linear gap t3_1 - t1_1 of the Halphen solution."""
+        return QQ(2 * self.m1 ** 2 * (self.m2 ** 2 if self.m2_finite else 1))
 
     def __str__(self):
         return f"({self.m1},{self.m2 if self.m2_finite else 'inf'})"
@@ -105,132 +108,59 @@ class HGParams:
             raise ValueError("parameters outside (0, 1) or misordered")
 
 
-class Normalization(Enum):
-    PRESCRIBED_T2 = "prescribed-t2"
-    SYMMETRIC_NORMALIZED = "symmetric-normalized"
-
-
 @dataclass(frozen=True)
 class HalphenSolution:
     triangle: TriangleType
     t1: TruncatedSeries
     t2: TruncatedSeries
     t3: TruncatedSeries
-    normalization_note: Normalization
-
-
-def prescribed_t2_slope(tri: TriangleType):
-    """Linear coefficient of t2 fixed by the initial-condition block."""
-    m1 = tri.m1
-    if not tri.m2_finite:
-        return QQ(-(m1 + 1))
-    m2 = tri.m2
-    return QQ(m1 * m1 * m2 + m1 * m1 - m1 * m2 * m2 - m2 * m2)
-
-
-def _solve3(matrix, rhs):
-    """Exact Gaussian elimination for a 3x3 system; raises SingularSystem."""
-    m = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    n = 3
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystem(f"singular 3x3 system at column {col}")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][3] for r in range(n)]
 
 
 def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     """Solve the Halphen system to order n_order for the given type.
 
-    The order-1 system is rank-deficient (the t1 and t3 rows coincide
-    because c = 1 - a); the prescribed t2 slope supplies the missing
-    equation when m1 != m2.  When m1 = m2 that slope is 0 and a scaling
-    freedom remains; it is fixed by imposing t3_1 - t1_1 = 2 m1^2 m2^2,
-    the value the m1 != m2 case forces, so that the Halphen J matches
-    the hypergeometric route under the same kappa calibration.
+    The order-1 system, a t1_1 + (1-a) t3_1 = 0 (twice, since c = 1 - a)
+    and t2_1 = (1-b)(t1_1 + t3_1), leaves one scale free; it is fixed by
+    t3_1 - t1_1 = kappa, so that the Halphen J matches the
+    hypergeometric route.
     """
     if n_order < 2:
         raise ValueError("need n_order >= 2")
     params = HGParams.for_type(tri)
     a, b, c = params.a, params.b, 1 - params.a
+    kappa = tri.kappa
+    # coefficients of q^0 and q^1
+    t1 = [ZERO, (a - 1) * kappa]
+    t2 = [QQ(-1), (1 - b) * (2 * a - 1) * kappa]
+    t3 = [ZERO, a * kappa]
 
-    t = [[ZERO], [QQ(-1)], [ZERO]]  # t1, t2, t3 coefficient lists
+    def conv(x, y, n):
+        """q^n coefficient of x*y over the orders 1..n-1."""
+        return sum((x[k] * y[n - k] for k in range(1, n)), ZERO)
 
-    # ---- order 1: rank-deficient, handled by hand -----------------------
-    slope2 = prescribed_t2_slope(tri)
-    symmetric = tri.m2_finite and tri.m1 == tri.m2
-    if symmetric:
-        if slope2 != 0:
-            raise InconsistentOrderOne(
-                "m1 = m2 should force a zero prescribed t2 slope")
-        half_gap = QQ(tri.m1 ** 2 * tri.m2 ** 2)
-        t1_1, t3_1 = -half_gap, half_gap  # a = 1/2: forces t1_1 = -t3_1
-        t2_1 = ZERO
-        note = Normalization.SYMMETRIC_NORMALIZED
-    else:
-        # a t1_1 + (1-a) t3_1 = 0 and t2_1 = (1-b)(t1_1 + t3_1)
-        two_a_minus_1 = 2 * a - 1
-        if two_a_minus_1 == 0:
-            raise InconsistentOrderOne("unexpected a = 1/2 with m1 != m2")
-        total = slope2 / (1 - b)
-        t3_1 = a * total / two_a_minus_1
-        t1_1 = total - t3_1
-        t2_1 = slope2
-        if a * t1_1 + (1 - a) * t3_1 != 0:
-            raise InconsistentOrderOne("order-1 equations inconsistent")
-        note = Normalization.PRESCRIBED_T2
-    t[0].append(t1_1)
-    t[1].append(t2_1)
-    t[2].append(t3_1)
-
-    # ---- orders n >= 2: exact 3x3 solve per order -----------------------
-    # Quadratic right-hand sides, as (coefficient, i, j) products:
-    #   eq1: (a-1)(t1t2 + t1t3 - t2t3) + (b+c-1) t1^2
-    #   eq2: (b-1)(t1t2 + t2t3 - t1t3) + (a+c-1) t2^2
-    #   eq3: (c-1)(t1t3 + t2t3 - t1t2) + (a+b-1) t3^2
-    rhs_terms = [
-        [(a - 1, 0, 1), (a - 1, 0, 2), (-(a - 1), 1, 2), (b + c - 1, 0, 0)],
-        [(b - 1, 0, 1), (b - 1, 1, 2), (-(b - 1), 0, 2), (a + c - 1, 1, 1)],
-        [(c - 1, 0, 2), (c - 1, 1, 2), (-(c - 1), 0, 1), (a + b - 1, 2, 2)],
-    ]
     for n in range(2, n_order + 1):
-        # convolution over strictly lower orders (1..n-1)
-        known = []
-        for terms in rhs_terms:
-            acc = ZERO
-            for coeff, i, j in terms:
-                if coeff == 0:
-                    continue
-                conv = ZERO
-                for k in range(1, n):
-                    if t[i][k] and t[j][n - k]:
-                        conv += t[i][k] * t[j][n - k]
-                acc += coeff * conv
-            known.append(acc)
-        # linear part in the order-n unknowns, from pairing with the
-        # constant terms (0, -1, 0); move to the left-hand side
-        matrix = [
-            [n + (a - 1), ZERO, -(a - 1)],
-            [b - 1, QQ(n), b - 1],
-            [-(c - 1), ZERO, n + (c - 1)],
-        ]
-        sol = _solve3(matrix, known)
-        for i in range(3):
-            t[i].append(sol[i])
+        # known right-hand sides from lower orders; the t2^2 term drops
+        # out because a + c - 1 = 0
+        p11, p33 = conv(t1, t1, n), conv(t3, t3, n)
+        p12, p13, p23 = conv(t1, t2, n), conv(t1, t3, n), conv(t2, t3, n)
+        k1 = (a - 1) * (p12 + p13 - p23) + (b + c - 1) * p11
+        k2 = (b - 1) * (p12 + p23 - p13)
+        k3 = (c - 1) * (p13 + p23 - p12) + (a + b - 1) * p33
+        # the order-n unknowns pair with t2_0 = -1:
+        #   (n+a-1) x1 - (a-1) x3 = k1,  -(c-1) x1 + (n+c-1) x3 = k3,
+        #   n x2 + (b-1)(x1 + x3) = k2;  the x1/x3 block has det n(n-1)
+        det = n * (n - 1)
+        x1 = ((n + c - 1) * k1 + (a - 1) * k3) / det
+        x3 = ((c - 1) * k1 + (n + a - 1) * k3) / det
+        t1.append(x1)
+        t2.append((k2 - (b - 1) * (x1 + x3)) / n)
+        t3.append(x3)
 
     return HalphenSolution(
         triangle=tri,
-        t1=TruncatedSeries(t[0], n_order),
-        t2=TruncatedSeries(t[1], n_order),
-        t3=TruncatedSeries(t[2], n_order),
-        normalization_note=note,
+        t1=TruncatedSeries(t1, n_order),
+        t2=TruncatedSeries(t2, n_order),
+        t3=TruncatedSeries(t3, n_order),
     )
 
 

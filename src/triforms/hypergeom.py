@@ -1,10 +1,7 @@
 """Gauss hypergeometric route: Frobenius basis {F, F log z + G}, the
 Schwarz map D = G/F, the mirror map q(a,b|z) = z exp(D), its reversion
-z(q), and the Hauptmodul J = 1/z(kappa*q).
-
-The sign of kappa is not trusted blindly: both candidates with
-magnitude 2 m1^2 m2^2 (2 m1^2 when m2 is infinite) are checked against
-the linear data of the Halphen route and the matching one is recorded.
+z(q), and the Hauptmodul J = 1/z(kappa*q) with kappa = 2 m1^2 m2^2
+(2 m1^2 when m2 is infinite), `TriangleType.kappa`.
 """
 
 from __future__ import annotations
@@ -12,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from . import halphen
-from .halphen import HGParams, TriangleType
+from .halphen import HGParams
 from .rationals import ONE, QQ, ZERO
 from .series import (
     LaurentSeries,
@@ -30,7 +26,6 @@ from .series import (
 class MirrorData:
     """Everything the mirror-map pipeline produces for one type."""
 
-    params: HGParams
     q_of_z: TruncatedSeries
     z_of_q: TruncatedSeries
     kappa: object
@@ -65,44 +60,19 @@ def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:
     return divide(series_g(params, n_order), series_f(params, n_order))
 
 
-def kappa_candidates(tri: TriangleType) -> Tuple:
-    mag = 2 * tri.m1 ** 2 * (tri.m2 ** 2 if tri.m2_finite else 1)
-    return (QQ(mag), QQ(-mag))
-
-
-def _halphen_linear_gap(tri: TriangleType):
-    """t3_1 - t1_1 from a minimal Halphen solve; equals the effective
-    kappa that makes the two Hauptmodul routes agree at the pole."""
-    sol = halphen.solve_halphen(tri, 2)
-    return sol.t3.coeffs[1] - sol.t1.coeffs[1]
-
-
-def mirror_map(params: HGParams, n_order: int,
-               kappa=None) -> MirrorData:
+def mirror_map(params: HGParams, n_order: int) -> MirrorData:
     """Full mirror-map pipeline for one type.
 
     q(a,b|z) = z exp(D) has coefficients at z^1..z^(n_order); z(q) is
     its compositional inverse; J = 1/z(kappa*q) as a Laurent series
-    with a first-order pole.  When kappa is not supplied it is
-    calibrated against the Halphen route: of the two sign candidates,
-    the one agreeing with the Halphen J at the pole coefficient wins
-    (and full agreement is asserted separately in the verification lab).
+    with a first-order pole.  Agreement with the Halphen J is checked
+    separately in the verification lab.
     """
-    tri = params.triangle
+    kappa = params.triangle.kappa
     q_of_z = exp_series(schwarz_map(params, n_order)).shift(1)
     z_of_q = reversion(q_of_z)
-    if kappa is None:
-        gap = _halphen_linear_gap(tri)
-        for cand in kappa_candidates(tri):
-            if cand == gap:
-                kappa = cand
-                break
-        else:
-            raise ValueError(
-                f"no kappa candidate matches the Halphen linear data {gap}")
     j = 1 / LaurentSeries.from_truncated(scale_argument(z_of_q, kappa))
-    return MirrorData(params=params, q_of_z=q_of_z, z_of_q=z_of_q,
-                      kappa=kappa, J=j)
+    return MirrorData(q_of_z=q_of_z, z_of_q=z_of_q, kappa=kappa, J=j)
 
 
 def binomial_series(alpha, n_order: int) -> TruncatedSeries:

@@ -218,8 +218,8 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> CongruenceReport
 def hauptmodul_theta(j: LaurentSeries) -> LaurentSeries:
     """J-dot in the derivative formulas: -theta(J).
 
-    With this package's q-orientation (fixed by the prescribed t2 slope
-    and the calibrated kappa) the t-difference identities hold with a
+    With this package's q-orientation (fixed by t3_1 - t1_1 = kappa > 0
+    in the Halphen solution) the t-difference identities hold with a
     global minus sign on theta(J); validated exactly in the suite.
     """
     return -1 * j.theta()

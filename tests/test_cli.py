@@ -139,8 +139,9 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["schwarz", "lemma2", "dieudonne"])
     def test_range_without_primes_is_usage_error(self, capsys, suite):
         # an empty range must not fall back to the suite's default primes
-        code, out, err = run(capsys, "verify", "--suite", suite,
-                             "--type", "2,5", "--primes", "24..28")
+        type_opt = ["--type", "2,5"] if suite == "schwarz" else []
+        code, out, err = run(capsys, "verify", "--suite", suite, *type_opt,
+                             "--primes", "24..28")
         assert code == 2
         assert out == ""
         assert "no prime" in err
@@ -150,11 +151,36 @@ class TestVerify:
         assert code == 2
         assert "--long" in err
 
-    def test_format_after_subcommand(self, capsys):
+    @pytest.mark.parametrize("argv, unread", [
+        (["--suite", "lemma2", "--type", "2,5", "--primes", "5", "--N", "3"],
+         "--type, --N"),
+        (["--suite", "remark", "--long", "--type", "2,3", "--primes", "7"],
+         "--type, --primes"),
+        (["--suite", "cross-route", "--type", "2,3", "--primes", "11"],
+         "--primes"),
+        (["--suite", "classifier", "--N", "40"], "--N"),
+        (["--suite", "dieudonne", "--long"], "--long"),
+    ])
+    def test_unread_option_is_usage_error(self, capsys, argv, unread):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"does not read {unread}" in err
+
+    def test_default_order_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma2",
-                           "--primes", "5", "--format", "json")
+                           "--primes", "5")
         assert code == 0
-        json.loads(out)
+        assert json.loads(out)["N"] == 60
+
+
+class TestFormat:
+    def test_format_only_on_classify(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--type", "2,3", "--series", "J", "--N", "5",
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestTakeuchi:

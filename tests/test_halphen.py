@@ -4,14 +4,12 @@ from triforms import halphen
 from triforms.errors import DegenerateDenominator, InvariantViolation
 from triforms.halphen import (
     HGParams,
-    Normalization,
     TriangleType,
     eisenstein_one,
     eisenstein_two,
     generator_range,
     halphen_residuals,
     hauptmodul_from_halphen,
-    prescribed_t2_slope,
     solve_halphen,
 )
 from triforms.rationals import QQ
@@ -22,6 +20,21 @@ SAMPLE_TYPES = [
     TriangleType(3, 3), TriangleType(4, 7), TriangleType(2, None),
     TriangleType(5, None),
 ]
+
+# every hyperbolic (m1, m2) with m1 <= m2 <= 12, and (m1, inf) for m1 <= 12
+GRID_TYPES = [TriangleType(m1, m2) for m2 in range(3, 13)
+              for m1 in range(2, m2 + 1) if m1 * m2 > m1 + m2] + [
+    TriangleType(m1, None) for m1 in range(2, 13)]
+
+
+def prescribed_t2_slope(tri: TriangleType):
+    """The linear coefficient of t2 as first derived, by hand, from the
+    initial-condition block: an oracle for the closed form."""
+    m1 = tri.m1
+    if not tri.m2_finite:
+        return QQ(-(m1 + 1))
+    m2 = tri.m2
+    return QQ(m1 * m1 * m2 + m1 * m1 - m1 * m2 * m2 - m2 * m2)
 
 
 class TestTriangleType:
@@ -42,6 +55,12 @@ class TestTriangleType:
     def test_conductor(self):
         assert TriangleType(2, 5).conductor == 20
         assert TriangleType(3, None).conductor == 6
+
+    def test_kappa(self):
+        assert TriangleType(2, 3).kappa == 72
+        assert TriangleType(3, None).kappa == 18
+        for tri in GRID_TYPES:  # so kappa's primes divide the conductor
+            assert 2 * tri.kappa == tri.conductor ** 2
 
 
 class TestDeriveParams:
@@ -105,17 +124,28 @@ class TestSolve:
             m2 = tri.m2 if tri.m2_finite else 1
             assert gap == 2 * tri.m1 ** 2 * m2 ** 2
 
-    def test_symmetric_normalization_note(self):
-        assert solve_halphen(TriangleType(3, 3), 2).normalization_note \
-            is Normalization.SYMMETRIC_NORMALIZED
-        assert solve_halphen(TriangleType(2, 3), 2).normalization_note \
-            is Normalization.PRESCRIBED_T2
-
     def test_back_substitution(self):
         for tri in SAMPLE_TYPES:
             sol = solve_halphen(tri, 25)
             for res in halphen_residuals(sol):
                 assert res.is_zero()
+
+
+@pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
+def test_closed_form_order_one(tri):
+    """The closed-form order-1 data solve the rank-deficient order-1
+    system, give the hand-derived t2 slope and the gap kappa, and the
+    solution built on them has vanishing residuals."""
+    params = HGParams.for_type(tri)
+    a, b = params.a, params.b
+    sol = solve_halphen(tri, 12)
+    t11, t21, t31 = sol.t1.coeffs[1], sol.t2.coeffs[1], sol.t3.coeffs[1]
+    assert t21 == prescribed_t2_slope(tri)
+    assert t31 - t11 == tri.kappa
+    assert a * t11 + (1 - a) * t31 == 0
+    assert t21 == (1 - b) * (t11 + t31)
+    for res in halphen_residuals(sol):
+        assert res.is_zero()
 
 
 class TestHauptmodul:
@@ -132,8 +162,7 @@ class TestHauptmodul:
 
     def test_degenerate_denominator_guard(self):
         sol = solve_halphen(TriangleType(2, 3), 5)
-        broken = type(sol)(sol.triangle, sol.t3, sol.t2, sol.t3,
-                           sol.normalization_note)
+        broken = type(sol)(sol.triangle, sol.t3, sol.t2, sol.t3)
         with pytest.raises(DegenerateDenominator):
             hauptmodul_from_halphen(broken)
 

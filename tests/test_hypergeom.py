@@ -6,7 +6,6 @@ from triforms.hypergeom import (
     complement,
     euler_identity_check,
     hypergeometric_operator_residual,
-    kappa_candidates,
     mirror_map,
     schwarz_map,
     series_f,
@@ -129,11 +128,11 @@ class TestMirrorMap:
             TruncatedSeries.identity(25)
 
     def test_kappa_calibration(self):
-        # positive candidate matches the Halphen linear data for every
-        # tested type, including m1 = m2 and m2 = inf
+        # kappa = 2 m1^2 m2^2 for every tested type, including m1 = m2
+        # and m2 = inf
         for tri in (TRI23, TriangleType(3, 3), TriangleType(2, None)):
             data = mirror_map(HGParams.for_type(tri), 4)
-            assert data.kappa == kappa_candidates(tri)[0]
+            assert data.kappa == tri.kappa
             assert data.kappa > 0
 
     def test_j_pole(self):
