@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Empirical p-integrality matrix for the mirror map of a triangle type.
 
-For each prime coprime to the conductor, compute the exact valuation
-profile of q(a,b|z) to the requested order and print one CSV row per
-prime, alongside the congruence classifier's verdict for comparison.
+Build q(a,b|z) once to the requested order, then for each prime
+coprime to the conductor compute its exact valuation profile and print
+one CSV row per prime, alongside the congruence classifier's verdict
+for comparison.
 Negative-valuation witnesses typically first appear near index p (near
 2p when a parameter has denominator 2), so pick N accordingly.
 """
@@ -15,7 +16,7 @@ from math import gcd
 
 from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
-from triforms.lab import empirical_integrality
+from triforms.lab import empirical_integrality, mirror_map_unit
 from triforms.rationals import primes
 
 
@@ -27,13 +28,14 @@ def main():
     args = parser.parse_args()
 
     tri = TriangleType.parse(args.type)
+    unit = mirror_map_unit(tri, args.N)
     writer = csv.writer(sys.stdout)
     writer.writerow(["type", "p", "N", "verdict", "firstNegativeIndex",
                      "minValuation", "classifier"])
     for p in primes(2, args.pmax):
         if gcd(p, tri.conductor) > 1:
             continue
-        v = empirical_integrality(tri, p, args.N)
+        v = empirical_integrality(tri, p, unit)
         cls = theorem_classifier(tri, p)
         writer.writerow([str(tri), p, args.N, v.classification.value,
                          v.first_negative_index, v.profile.min_valuation,

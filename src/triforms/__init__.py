@@ -23,10 +23,12 @@ from .dwork import (
 )
 from .lab import (
     Classification,
+    checked_generators,
     cross_route_consistency,
     dwork_congruence_check,
     empirical_integrality,
     generator_integrality,
+    mirror_map_unit,
     schwarz_congruence_check,
 )
 from .rationals import QQ

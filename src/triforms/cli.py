@@ -22,7 +22,6 @@ from .dwork import (
     lemma_two_check,
     takeuchi_scan,
     theorem_classifier,
-    theorem_threshold,
 )
 from .errors import TriformsError, VerificationFailure
 from .halphen import (
@@ -36,15 +35,17 @@ from .halphen import (
 from .hypergeom import mirror_map, schwarz_map, series_f, series_g
 from .lab import (
     Classification,
+    checked_generators,
     cross_route_consistency,
     dieudonne_check,
     dwork_congruence_check,
     empirical_integrality,
     generator_integrality,
+    mirror_map_unit,
     schwarz_congruence_check,
 )
 from .rationals import QQ, primes
-from .series import TruncatedSeries, log_series
+from .series import TruncatedSeries, exp_series, log_series
 
 DEFAULT_ORDER = 120
 
@@ -139,7 +140,8 @@ def cmd_classify(args) -> int:
             continue
         verdict = theorem_classifier(tri, p)
         entry = verdict.to_json()
-        entry["belowTheoremRange"] = p <= theorem_threshold(tri)
+        entry["belowTheoremRange"] = (
+            verdict.verdict is Verdict.BELOW_THEOREM_RANGE)
         rows.append(entry)
     payload = {"command": "classify", "type": str(tri), "results": rows}
     csv_rows = [{"type": r["type"], "p": r["p"], "N": "",
@@ -150,35 +152,42 @@ def cmd_classify(args) -> int:
 
 
 def _verify_cells(args):
-    """Run the selected suite; yield (cell description, ok, extra)."""
+    """Run the selected suite; yield (cell description, ok, extra).
+
+    What depends only on the type is built once per type and shared by
+    every prime."""
     suite = args.suite
     n_order = args.N
-    tri = TriangleType.parse(args.type) if args.type else None
+    types = [TriangleType.parse(args.type)] if args.type else _default_types()
     primes = parse_primes(args.primes) if args.primes else []
 
     if suite == "cross-route":
-        for t in [tri] if tri else _default_types():
+        for t in types:
             report = cross_route_consistency(t, n_order)
             yield f"cross-route {t}", True, {"kappa": report.details["kappa"]}
     elif suite == "dwork":
-        for t in [tri] if tri else _default_types():
+        for t in types:
+            base = schwarz_map(HGParams.for_type(t), n_order)
             for p in primes or _default_primes(t):
-                r = dwork_congruence_check(t, p, n_order)
+                r = dwork_congruence_check(t, p, base)
                 yield f"dwork {t} p={p}", r.holds(), {}
     elif suite == "schwarz":
-        for t in [tri] if tri else _default_types():
+        for t in types:
+            base = schwarz_map(HGParams.for_type(t), n_order)
+            unit = exp_series(base)
             for p in primes or _default_primes(t):
-                cong = schwarz_congruence_check(t, p, n_order)
-                emp = empirical_integrality(t, p, n_order)
+                cong = schwarz_congruence_check(t, p, base)
+                emp = empirical_integrality(t, p, unit)
                 agree = cong.holds() == (
                     emp.classification is Classification.INTEGRAL_EVIDENCE)
                 yield f"schwarz-vs-empirical {t} p={p}", agree, {
                     "congruence": cong.holds(),
                     "verdict": emp.classification.value}
     elif suite == "generators":
-        for t in [tri] if tri else _default_types():
+        for t in types:
+            generators = checked_generators(t, n_order)
             for p in primes or _default_primes(t):
-                cells = generator_integrality(t, p, n_order)
+                cells = generator_integrality(t, p, generators)
                 yield f"generators {t} p={p}", True, {
                     lbl: v.classification.value for lbl, v in cells}
     elif suite == "lemma2":
@@ -186,14 +195,14 @@ def _verify_cells(args):
             ok, counter = lemma_two_check(p)
             yield f"lemma2 p={p}", ok, {"counterexamples": len(counter)}
     elif suite == "dieudonne":
+        u = log_series(TruncatedSeries([1, 1], n_order))
         for p in primes or [5, 7]:
-            u = log_series(TruncatedSeries([1, 1], n_order))
             r = dieudonne_check(u, p)
             bad = TruncatedSeries([QQ(0), QQ(1, p)], n_order)
             r2 = dieudonne_check(bad, p)
             yield f"dieudonne p={p}", r.holds() and r2.holds(), r.details
     elif suite == "classifier":
-        for t in [tri] if tri else _default_types():
+        for t in types:
             for p in primes or _default_primes(t):
                 verdict = theorem_classifier(t, p)
                 cond, _ = dwork_set_condition(HGParams.for_type(t), p)
@@ -207,8 +216,9 @@ def _verify_cells(args):
             raise VerificationFailure(
                 "the 183-term reproduction runs only with --long")
         t = TriangleType(2, 5)
+        unit = mirror_map_unit(t, 183)
         for p in (11, 19):
-            v = empirical_integrality(t, p, 183)
+            v = empirical_integrality(t, p, unit)
             yield f"remark (2,5) p={p} N=183", (
                 v.classification is Classification.INTEGRAL_EVIDENCE), {
                     "minValuation": v.profile.min_valuation}

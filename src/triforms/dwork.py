@@ -60,6 +60,13 @@ def dwork_map(x, p: int) -> DworkImage:
     return DworkImage(x=x, prime=p, image=image, digit_witness=int(witness))
 
 
+def dwork_images(params: HGParams, p: int) -> HGParams:
+    """The twisted parameters (delta_p(a), delta_p(b)), larger first."""
+    da = dwork_map(params.a, p).image
+    db = dwork_map(params.b, p).image
+    return HGParams(max(da, db), min(da, db), params.triangle)
+
+
 class SetAlternative(Enum):
     PLAIN = "plain"        # {delta(a), delta(b)} = {a, b}
     COMPLEMENT = "complement"  # {delta(a), delta(b)} = {1-a, 1-b}
@@ -70,9 +77,8 @@ def dwork_set_condition(params: HGParams,
     """The sufficient-condition set equality for p-integrality of the
     mirror map: {delta_p(a), delta_p(b)} equals {a, b} or {1-a, 1-b}."""
     require_coprime(params.triangle, p)
-    da = dwork_map(params.a, p).image
-    db = dwork_map(params.b, p).image
-    got = {da, db}
+    twisted = dwork_images(params, p)
+    got = {twisted.a, twisted.b}
     if got == {params.a, params.b}:
         return True, SetAlternative.PLAIN
     if got == {1 - params.a, 1 - params.b}:
@@ -147,11 +153,6 @@ def _congruence_witness(tri: TriangleType, r: int) -> Optional[WitnessCase]:
     return None
 
 
-def theorem_threshold(tri: TriangleType) -> int:
-    """The theorem's hypothesis: p > 2*m1*m2 (p > 2*m1 when m2 = inf)."""
-    return tri.conductor
-
-
 def theorem_classifier(tri: TriangleType, p: int) -> IntegralityVerdict:
     """Closed-form congruence classifier of the main theorem.
 
@@ -160,7 +161,7 @@ def theorem_classifier(tri: TriangleType, p: int) -> IntegralityVerdict:
     """
     require_coprime(tri, p)
     witness = _congruence_witness(tri, p)
-    if p <= theorem_threshold(tri):
+    if p <= tri.conductor:  # the hypothesis p > 2*m1*m2 (2*m1 if m2 = inf)
         return IntegralityVerdict(
             tri, p, Verdict.BELOW_THEOREM_RANGE,
             conjectural_integral=witness is not None)

@@ -2,6 +2,11 @@
 expansions, the series-level Dwork congruences, and cross-route
 consistency between the Halphen and hypergeometric pipelines.
 
+Every integrality check has the shape "one type, many primes": each
+check takes the per-type series it tests (the unit q(a,b|z)/z, the
+Schwarz map D(a,b|z), the checked generators), which the caller builds
+once at the largest order it needs, and does only the per-prime work.
+
 The test object for integrality is the mirror map q(a,b|z) rather than
 J itself: reversion of a unit-linear-coefficient series, scaling by a
 p-unit kappa, and reciprocal of a unit-constant-term series all
@@ -15,7 +20,7 @@ profile at order N is bounded evidence, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -30,7 +35,7 @@ from .halphen import (
     solve_halphen,
 )
 from .hypergeom import mirror_map, schwarz_map
-from .dwork import dwork_map, require_coprime
+from .dwork import dwork_images, require_coprime
 from .rationals import padic_valuation, rational_to_str
 from .series import (
     LaurentSeries,
@@ -59,16 +64,6 @@ class CongruenceReport:
     def holds(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "p": self.prime,
-            "N": self.orders_checked,
-            "holds": self.holds(),
-            "failures": [list(f) for f in self.failures],
-            **self.details,
-        }
-
 
 class Classification(Enum):
     INTEGRAL_EVIDENCE = "integralEvidence"
@@ -84,15 +79,18 @@ class EmpiricalVerdict:
     classification: Classification
     first_negative_index: Optional[int]
 
-    def to_json(self) -> dict:
-        return {
-            "type": str(self.triangle),
-            "p": self.prime,
-            "N": self.orders,
-            "verdict": self.classification.value,
-            "firstNegativeIndex": self.first_negative_index,
-            "minValuation": self.profile.min_valuation,
-        }
+
+def _verdict(tri: TriangleType, p: int, series: TruncatedSeries,
+             start_index: int) -> EmpiricalVerdict:
+    """Valuation profile of series, whose index i is the coefficient of
+    z^(start_index + i), classified by its first negative valuation."""
+    profile = replace(valuation_profile(series, p), start_index=start_index)
+    first_neg = profile.first_index_below(0)
+    classification = (Classification.NON_INTEGRAL_EVIDENCE
+                      if first_neg is not None
+                      else Classification.INTEGRAL_EVIDENCE)
+    return EmpiricalVerdict(tri, p, series.truncation, profile,
+                            classification, first_neg)
 
 
 def mirror_map_unit(tri: TriangleType, n_order: int) -> TruncatedSeries:
@@ -103,21 +101,12 @@ def mirror_map_unit(tri: TriangleType, n_order: int) -> TruncatedSeries:
 
 
 def empirical_integrality(tri: TriangleType, p: int,
-                          n_order: int) -> EmpiricalVerdict:
-    """Valuation profile of the mirror map q(a,b|z), normalized to
-    leading coefficient 1; indices are exponents of z in q(a,b|z)."""
+                          unit: TruncatedSeries) -> EmpiricalVerdict:
+    """Valuation profile of the mirror map q(a,b|z) = z unit, for unit
+    from mirror_map_unit, to order unit.truncation; indices are
+    exponents of z in q(a,b|z)."""
     require_coprime(tri, p)
-    unit = mirror_map_unit(tri, n_order)
-    base = valuation_profile(unit, p)
-    # report indices as z-exponents of q(a,b|z): shift by one
-    profile = ValuationProfile(
-        prime=p, entries=base.entries,
-        min_valuation=base.min_valuation, start_index=1)
-    first_neg = profile.first_index_below(0)
-    classification = (Classification.NON_INTEGRAL_EVIDENCE
-                      if first_neg is not None
-                      else Classification.INTEGRAL_EVIDENCE)
-    return EmpiricalVerdict(tri, p, n_order, profile, classification, first_neg)
+    return _verdict(tri, p, unit, 1)
 
 
 def _valuation_failures(diff: TruncatedSeries, p: int, required: int):
@@ -129,62 +118,50 @@ def _valuation_failures(diff: TruncatedSeries, p: int, required: int):
     return tuple(failures)
 
 
-def _dwork_images(tri: TriangleType, p: int) -> HGParams:
-    params = HGParams.for_type(tri)
-    da = dwork_map(params.a, p).image
-    db = dwork_map(params.b, p).image
-    return HGParams(max(da, db), min(da, db), tri)
+def _twisted_map(tri: TriangleType, p: int,
+                 base: TruncatedSeries) -> TruncatedSeries:
+    """D(delta(a), delta(b) | z) at the order of base = D(a,b|z)."""
+    require_coprime(tri, p)
+    return schwarz_map(dwork_images(HGParams.for_type(tri), p),
+                       base.truncation)
 
 
 def dwork_congruence_check(tri: TriangleType, p: int,
-                           n_order: int) -> CongruenceReport:
-    """D(delta(a), delta(b) | z^p) - p D(a,b|z): every coefficient must
-    have p-adic valuation >= 1.  Holds unconditionally (no integrality
-    hypothesis)."""
-    require_coprime(tri, p)
-    params = HGParams.for_type(tri)
-    lhs = substitute_power(schwarz_map(_dwork_images(tri, p), n_order), p)
-    rhs = p * schwarz_map(params, n_order)
-    failures = _valuation_failures(lhs - rhs, p, 1)
+                           base: TruncatedSeries) -> CongruenceReport:
+    """D(delta(a), delta(b) | z^p) - p D(a,b|z) for base = D(a,b|z):
+    every coefficient must have p-adic valuation >= 1.  Holds
+    unconditionally (no integrality hypothesis)."""
+    lhs = substitute_power(_twisted_map(tri, p, base), p)
     return CongruenceReport(
         description=f"dwork-congruence {tri}", prime=p,
-        orders_checked=n_order, failures=failures)
+        orders_checked=base.truncation,
+        failures=_valuation_failures(lhs - p * base, p, 1))
 
 
 def schwarz_congruence_check(tri: TriangleType, p: int,
-                             n_order: int) -> CongruenceReport:
-    """D(delta(a), delta(b) | z) - D(a,b|z): valuation >= 1 everywhere
-    exactly when the mirror map is p-integral (the biconditional is
-    observed, not assumed)."""
-    require_coprime(tri, p)
-    params = HGParams.for_type(tri)
-    lhs = schwarz_map(_dwork_images(tri, p), n_order)
-    rhs = schwarz_map(params, n_order)
-    failures = _valuation_failures(lhs - rhs, p, 1)
+                             base: TruncatedSeries) -> CongruenceReport:
+    """D(delta(a), delta(b) | z) - D(a,b|z) for base = D(a,b|z):
+    valuation >= 1 everywhere exactly when the mirror map is p-integral
+    (the biconditional is observed, not assumed)."""
+    lhs = _twisted_map(tri, p, base)
     return CongruenceReport(
         description=f"schwarz-congruence {tri}", prime=p,
-        orders_checked=n_order, failures=failures)
+        orders_checked=base.truncation,
+        failures=_valuation_failures(lhs - base, p, 1))
 
 
-def dieudonne_check(u: TruncatedSeries, p: int,
-                    n_order: Optional[int] = None) -> CongruenceReport:
+def dieudonne_check(u: TruncatedSeries, p: int) -> CongruenceReport:
     """Additive Dieudonne-Dwork equivalence, evaluated on both sides:
     exp(u) has p-integral coefficients iff exp(u(z^p) - p u(z)) is
-    1 mod p.  Both predicates are computed exactly and compared; the
-    report holds iff they agree."""
-    if n_order is None:
-        n_order = u.truncation
-    u = u.retruncate(min(u.truncation, n_order))
-    eu = exp_series(u)
-    exp_integral = valuation_profile(eu, p).is_integral()
+    1 mod p.  Both predicates are computed exactly to order
+    u.truncation and compared; the report holds iff they agree."""
+    exp_integral = valuation_profile(exp_series(u), p).is_integral()
     twisted = exp_series(substitute_power(u, p) - p * u)
-    congruent = all(
-        (v := padic_valuation(c, p)) is None or v >= 1
-        for c in twisted.coeffs[1:])
+    congruent = not _valuation_failures(twisted - 1, p, 1)
     failures = () if exp_integral == congruent else (
         ("predicate-mismatch", exp_integral, congruent),)
     return CongruenceReport(
-        description="dieudonne-dwork", prime=p, orders_checked=n_order,
+        description="dieudonne-dwork", prime=p, orders_checked=u.truncation,
         failures=failures,
         details={"exp_integral": exp_integral, "congruence_holds": congruent})
 
@@ -235,15 +212,14 @@ def generators_via_j(tri: TriangleType, kind: int, k: int,
     return (jdot / j) ** k * (j / (j - 1))
 
 
-def generator_integrality(tri: TriangleType, p: int, n_order: int
-                          ) -> List[Tuple[str, EmpiricalVerdict]]:
-    """Every generator in the algebra lists, computed both as a
-    t-product and by the J-derivative formula; the two must agree
-    exactly, and each generator's valuation profile is returned."""
-    require_coprime(tri, p)
+def checked_generators(tri: TriangleType, n_order: int
+                       ) -> List[Tuple[str, TruncatedSeries]]:
+    """Every generator in the algebra lists, labelled, to order n_order
+    (or its own, if shorter).  Each is computed both as a t-product and
+    by the J-derivative formula; the two must agree exactly."""
     sol = solve_halphen(tri, n_order + 2)
     j = hauptmodul_from_halphen(sol)
-    results = []
+    generators = []
     for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
         for k in generator_range(tri, kind):
             series = builder(k, sol)
@@ -253,12 +229,16 @@ def generator_integrality(tri: TriangleType, p: int, n_order: int
                 raise FormulaMismatch(
                     f"E^({kind})_{2 * k} for {tri}: t-product and "
                     f"J-formula differ at q^{mismatch}")
-            top = min(n_order, series.truncation)
-            profile = valuation_profile(series.retruncate(top), p)
-            first_neg = profile.first_index_below(0)
-            cls = (Classification.NON_INTEGRAL_EVIDENCE if first_neg is not None
-                   else Classification.INTEGRAL_EVIDENCE)
-            results.append((
+            generators.append((
                 f"E{kind}_{2 * k}",
-                EmpiricalVerdict(tri, p, top, profile, cls, first_neg)))
-    return results
+                series.retruncate(min(n_order, series.truncation))))
+    return generators
+
+
+def generator_integrality(tri: TriangleType, p: int,
+                          generators: List[Tuple[str, TruncatedSeries]]
+                          ) -> List[Tuple[str, EmpiricalVerdict]]:
+    """The valuation profile of each generator from checked_generators."""
+    require_coprime(tri, p)
+    return [(label, _verdict(tri, p, series, 0))
+            for label, series in generators]

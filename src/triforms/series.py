@@ -197,10 +197,6 @@ class TruncatedSeries:
             "truncation": self.truncation,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "TruncatedSeries":
-        return cls([QQ(s) for s in data["coeffs"]], data["truncation"])
-
 
 # --------------------------------------------------------------------------
 # Packed integer product (Kronecker substitution)
@@ -416,12 +412,6 @@ class LaurentSeries:
         return TruncatedSeries(
             [ZERO] * (self.lowest_exponent - lo) + list(self.coeffs), top - lo)
 
-    def to_truncated(self) -> TruncatedSeries:
-        """Back to a power series; all negative exponents must be absent."""
-        if self.lowest_exponent < 0:
-            raise ValueError("series has a pole; cannot convert")
-        return self._window(0, self.truncation)
-
     @property
     def coeffs(self) -> tuple:
         """Coefficients of q^lowest_exponent..q^truncation."""
@@ -436,10 +426,6 @@ class LaurentSeries:
         if e < self.lowest_exponent:
             return ZERO
         return self.coeffs[e - self.lowest_exponent]
-
-    @property
-    def pole_order(self) -> int:
-        return max(0, -self.lowest_exponent) if not self.is_zero() else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -581,14 +567,6 @@ class ValuationProfile:
 
     def is_integral(self) -> bool:
         return self.min_valuation is None or self.min_valuation >= 0
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "start_index": self.start_index,
-            "entries": list(self.entries),
-            "min_valuation": self.min_valuation,
-        }
 
 
 def valuation_profile(s, p: int) -> ValuationProfile:

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -124,6 +125,30 @@ class TestVerify:
         verdicts = {c["cell"]: c["verdict"] for c in payload["cells"]}
         assert verdicts["schwarz-vs-empirical (2,5) p=11"] == "integralEvidence"
         assert verdicts["schwarz-vs-empirical (2,5) p=13"] == "nonIntegralEvidence"
+
+    @pytest.mark.parametrize("suite, module, name, calls", [
+        # one D(a,b|z) per type, then one twisted map per prime
+        ("schwarz", "hypergeom", "schwarz_map", 3),
+        # one Halphen solve per type, shared by both primes
+        ("generators", "halphen", "solve_halphen", 1),
+    ])
+    def test_type_series_built_once(self, capsys, monkeypatch,
+                                    suite, module, name, calls):
+        import triforms
+        original = getattr(importlib.import_module(f"triforms.{module}"), name)
+        count = []
+
+        def counted(*args):
+            count.append(args)
+            return original(*args)
+
+        for mod in (triforms.cli, triforms.lab):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+        code, _, _ = run(capsys, "verify", "--suite", suite, "--type", "2,5",
+                         "--primes", "11..13", "--N", "30")
+        assert code == 0
+        assert len(count) == calls
 
     def test_lemma2(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma2",

@@ -11,9 +11,10 @@ from triforms.errors import (
 )
 from triforms.halphen import (
     HGParams, TriangleType, hauptmodul_from_halphen, solve_halphen)
-from triforms.hypergeom import mirror_map
+from triforms.hypergeom import mirror_map, schwarz_map
 from triforms.lab import (
     Classification,
+    checked_generators,
     cross_route_consistency,
     dieudonne_check,
     dwork_congruence_check,
@@ -37,23 +38,30 @@ from conftest import small_rationals
 TRI25 = TriangleType(2, 5)
 
 
+def base_map(tri, n_order):
+    """D(a,b|z), the per-type series the congruence checks take."""
+    return schwarz_map(HGParams.for_type(tri), n_order)
+
+
 class TestEmpiricalIntegrality:
     def test_2_5_integral_primes(self):
+        unit = mirror_map_unit(TRI25, 60)
         for p in (11, 19):
-            v = empirical_integrality(TRI25, p, 60)
+            v = empirical_integrality(TRI25, p, unit)
             assert v.classification is Classification.INTEGRAL_EVIDENCE
             assert v.first_negative_index is None
 
     def test_2_5_non_integral_primes(self):
         # first negative indices frozen from the exact computation
+        unit = mirror_map_unit(TRI25, 100)
         for p, index in ((13, 14), (17, 18)):
-            v = empirical_integrality(TRI25, p, 100)
+            v = empirical_integrality(TRI25, p, unit)
             assert v.classification is Classification.NON_INTEGRAL_EVIDENCE
             assert v.first_negative_index == index
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            empirical_integrality(TRI25, 5, 20)
+            empirical_integrality(TRI25, 5, mirror_map_unit(TRI25, 20))
 
     @given(small_rationals.filter(lambda x: x != 0))
     def test_normalization_soundness(self, const):
@@ -76,37 +84,44 @@ class TestEmpiricalIntegrality:
 class TestDworkCongruence:
     def test_holds_without_integrality_hypothesis(self):
         # p = 13 is a non-integral prime for (2,5); the congruence still holds
-        assert dwork_congruence_check(TRI25, 13, 60).holds()
-        assert dwork_congruence_check(TriangleType(3, 7), 11, 60).holds()
+        assert dwork_congruence_check(TRI25, 13, base_map(TRI25, 60)).holds()
+        tri = TriangleType(3, 7)
+        assert dwork_congruence_check(tri, 11, base_map(tri, 60)).holds()
+
+    def test_rejects_shared_factor(self):
+        with pytest.raises(SharedFactor):
+            dwork_congruence_check(TRI25, 5, base_map(TRI25, 20))
 
     def test_index_one_bookkeeping(self):
         # non-multiples of p vanish on the z^p-substituted side, so the
         # check at index 1 is v_p(p*C1) >= 1; C1 is a p-unit denominator
-        from triforms.hypergeom import schwarz_map
         from triforms.rationals import padic_valuation
         p = 13
-        c1 = schwarz_map(HGParams.for_type(TRI25), 1).coeffs[1]
+        c1 = base_map(TRI25, 1).coeffs[1]
         assert padic_valuation(p * c1, p) >= 1
 
 
 class TestSchwarzCongruence:
     def test_integral_case_holds(self):
-        assert schwarz_congruence_check(TRI25, 11, 60).holds()
+        assert schwarz_congruence_check(TRI25, 11, base_map(TRI25, 60)).holds()
 
     def test_non_integral_case_fails(self):
-        report = schwarz_congruence_check(TRI25, 13, 60)
+        report = schwarz_congruence_check(TRI25, 13, base_map(TRI25, 60))
+        assert report.orders_checked == 60
         assert not report.holds()
         assert report.failures[0][0] >= 1
 
     def test_fixed_parameters_trivial(self):
         # p = 1 mod 20 fixes a and b, so both sides are the same series
-        report = schwarz_congruence_check(TRI25, 41, 40)
+        report = schwarz_congruence_check(TRI25, 41, base_map(TRI25, 40))
         assert report.holds()
 
     def test_biconditional_with_empirical(self):
+        base = base_map(TRI25, 50)
+        unit = mirror_map_unit(TRI25, 50)
         for p in (11, 13, 19, 23, 29, 31):
-            cong = schwarz_congruence_check(TRI25, p, 50).holds()
-            emp = empirical_integrality(TRI25, p, 50).classification
+            cong = schwarz_congruence_check(TRI25, p, base).holds()
+            emp = empirical_integrality(TRI25, p, unit).classification
             assert cong == (emp is Classification.INTEGRAL_EVIDENCE)
 
 
@@ -115,6 +130,7 @@ class TestDieudonne:
         u = log_series(TruncatedSeries([1, 1], 30))
         report = dieudonne_check(u, 5)
         assert report.holds()
+        assert report.orders_checked == 30
         assert report.details["exp_integral"] is True
         assert report.details["congruence_holds"] is True
 
@@ -133,9 +149,7 @@ class TestDieudonne:
 
     def test_on_schwarz_map(self):
         # u = D(a,b|z) for an integral prime: both predicates true
-        from triforms.hypergeom import schwarz_map
-        u = schwarz_map(HGParams.for_type(TRI25), 40)
-        report = dieudonne_check(u, 11)
+        report = dieudonne_check(base_map(TRI25, 40), 11)
         assert report.holds()
         assert report.details["exp_integral"] is True
 
@@ -173,19 +187,41 @@ class TestCrossRoute:
 
 class TestGeneratorIntegrality:
     def test_integral_prime(self):
-        cells = generator_integrality(TRI25, 11, 30)
+        cells = generator_integrality(
+            TRI25, 11, checked_generators(TRI25, 30))
         assert [lbl for lbl, _ in cells] == ["E2_4", "E2_6", "E2_8", "E2_10"]
         assert all(v.classification is Classification.INTEGRAL_EVIDENCE
                    for _, v in cells)
 
     def test_non_integral_prime(self):
-        cells = generator_integrality(TRI25, 13, 30)
+        cells = generator_integrality(
+            TRI25, 13, checked_generators(TRI25, 30))
         assert any(v.classification is Classification.NON_INTEGRAL_EVIDENCE
                    for _, v in cells)
 
     def test_cusp_double_generators(self):
-        cells = generator_integrality(TriangleType(3, None), 5, 20)
+        tri = TriangleType(3, None)
+        cells = generator_integrality(tri, 5, checked_generators(tri, 20))
         assert [lbl for lbl, _ in cells] == ["E1_2", "E1_4", "E1_6"]
+
+    def test_shared_generators_across_primes(self):
+        # one per-type build serves every prime; each verdict covers the
+        # order asked for
+        generators = checked_generators(TRI25, 30)
+        assert all(s.truncation == 30 for _, s in generators)
+        for p in (11, 13):
+            cells = generator_integrality(TRI25, p, generators)
+            assert all(v.orders == 30 and v.prime == p for _, v in cells)
+        with pytest.raises(SharedFactor):
+            generator_integrality(TRI25, 5, generators)
+
+    def test_formula_mismatch_is_hard_error(self, monkeypatch):
+        # a J-formula route that disagrees must stop the per-type build
+        real = lab.generators_via_j
+        monkeypatch.setattr(lab, "generators_via_j",
+                            lambda *args: 2 * real(*args))
+        with pytest.raises(FormulaMismatch):
+            checked_generators(TRI25, 10)
 
     def test_e4_e6_identity(self):
         # E4^3/(E4^3 - E6^2) = J, exactly
@@ -228,8 +264,9 @@ class TestIntegralityTransportJustification:
 
     def test_transport_equivalence_small_order(self):
         # q(a,b|z) integral iff J integral, checked directly at N = 25
+        unit = mirror_map_unit(TRI25, 25)
         for p in (11, 13):
-            q_verdict = empirical_integrality(TRI25, p, 25).classification
+            q_verdict = empirical_integrality(TRI25, p, unit).classification
             j = mirror_map(HGParams.for_type(TRI25), 26).J
             j_integral = valuation_profile(j, p).is_integral()
             assert j_integral == (q_verdict is Classification.INTEGRAL_EVIDENCE)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
-from triforms.lab import empirical_integrality
+from triforms.lab import empirical_integrality, mirror_map_unit
 from triforms.rationals import primes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,11 +26,12 @@ def test_integrality_matrix_rows_match_library():
     assert header == ["type", "p", "N", "verdict", "firstNegativeIndex",
                       "minValuation", "classifier"]
     tri = TriangleType(2, 5)
+    unit = mirror_map_unit(tri, 60)
     assert [int(r[1]) for r in rows] == [
         p for p in primes(2, 31) if gcd(p, tri.conductor) == 1]
     for row in rows:
         p = int(row[1])
-        v = empirical_integrality(tri, p, 60)
+        v = empirical_integrality(tri, p, unit)
         expected = [str(tri), p, 60, v.classification.value,
                     v.first_negative_index, v.profile.min_valuation,
                     theorem_classifier(tri, p).verdict.value]
