@@ -16,7 +16,8 @@ from math import gcd
 
 from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
-from triforms.lab import empirical_integrality, mirror_map_unit
+from triforms.lab import (
+    Classification, empirical_integrality, mirror_map_unit)
 from triforms.rationals import primes
 
 
@@ -37,8 +38,8 @@ def main():
             continue
         v = empirical_integrality(tri, p, unit)
         cls = theorem_classifier(tri, p)
-        writer.writerow([str(tri), p, args.N, v.classification.value,
-                         v.first_negative_index, v.profile.min_valuation,
+        writer.writerow([str(tri), p, args.N, Classification.of(v).value,
+                         v.first_failure, v.min_valuation,
                          cls.verdict.value])
 
 

@@ -20,6 +20,7 @@ from .dwork import (
     Verdict,
     dwork_set_condition,
     lemma_two_check,
+    require_coprime,
     takeuchi_scan,
     theorem_classifier,
 )
@@ -44,7 +45,7 @@ from .lab import (
     mirror_map_unit,
     schwarz_congruence_check,
 )
-from .rationals import QQ, primes
+from .rationals import QQ, primes, rational_to_str
 from .series import TruncatedSeries, exp_series, log_series
 
 DEFAULT_ORDER = 120
@@ -115,9 +116,9 @@ def _series_catalog(tri: TriangleType, name: str, n_order: int):
         return series_g(params, n_order).to_json()
     if name == "d":
         return schwarz_map(params, n_order).to_json()
-    if name in ("q", "qmap"):
+    if name == "qmap":
         return mirror_map(params, n_order).q_of_z.to_json()
-    if name in ("z", "zmap", "zofq"):
+    if name == "zmap":
         return mirror_map(params, n_order).z_of_q.to_json()
     raise ValueError(f"unknown series {name!r}; expected one of "
                      "t1,t2,t3,J,E1_2k,E2_2k,F,G,D,qmap,zmap")
@@ -163,33 +164,36 @@ def _verify_cells(args):
 
     if suite == "cross-route":
         for t in types:
-            report = cross_route_consistency(t, n_order)
-            yield f"cross-route {t}", True, {"kappa": report.details["kappa"]}
+            cross_route_consistency(t, n_order)
+            yield f"cross-route {t}", True, {
+                "kappa": rational_to_str(t.kappa)}
     elif suite == "dwork":
         for t in types:
+            ps = _primes_for(t, primes)
             base = schwarz_map(HGParams.for_type(t), n_order)
-            for p in primes or _default_primes(t):
+            for p in ps:
                 r = dwork_congruence_check(t, p, base)
                 yield f"dwork {t} p={p}", r.holds(), {}
     elif suite == "schwarz":
         for t in types:
+            ps = _primes_for(t, primes)
             base = schwarz_map(HGParams.for_type(t), n_order)
             unit = exp_series(base)
-            for p in primes or _default_primes(t):
-                cong = schwarz_congruence_check(t, p, base)
+            for p in ps:
+                congruent = schwarz_congruence_check(t, p, base).holds()
                 emp = empirical_integrality(t, p, unit)
-                agree = cong.holds() == (
-                    emp.classification is Classification.INTEGRAL_EVIDENCE)
-                yield f"schwarz-vs-empirical {t} p={p}", agree, {
-                    "congruence": cong.holds(),
-                    "verdict": emp.classification.value}
+                yield f"schwarz-vs-empirical {t} p={p}", \
+                    congruent == emp.holds(), {
+                        "congruence": congruent,
+                        "verdict": Classification.of(emp).value}
     elif suite == "generators":
         for t in types:
+            ps = _primes_for(t, primes)
             generators = checked_generators(t, n_order)
-            for p in primes or _default_primes(t):
+            for p in ps:
                 cells = generator_integrality(t, p, generators)
                 yield f"generators {t} p={p}", True, {
-                    lbl: v.classification.value for lbl, v in cells}
+                    lbl: Classification.of(v).value for lbl, v in cells}
     elif suite == "lemma2":
         for p in primes or [5, 7]:
             ok, counter = lemma_two_check(p)
@@ -197,13 +201,16 @@ def _verify_cells(args):
     elif suite == "dieudonne":
         u = log_series(TruncatedSeries([1, 1], n_order))
         for p in primes or [5, 7]:
-            r = dieudonne_check(u, p)
             bad = TruncatedSeries([QQ(0), QQ(1, p)], n_order)
-            r2 = dieudonne_check(bad, p)
-            yield f"dieudonne p={p}", r.holds() and r2.holds(), r.details
+            exp_integral, congruent = (s.holds() for s in dieudonne_check(u, p))
+            bad_exp, bad_congruent = (s.holds() for s in dieudonne_check(bad, p))
+            yield f"dieudonne p={p}", (
+                exp_integral == congruent and bad_exp == bad_congruent), {
+                    "exp_integral": exp_integral,
+                    "congruence_holds": congruent}
     elif suite == "classifier":
         for t in types:
-            for p in primes or _default_primes(t):
+            for p in _primes_for(t, primes):
                 verdict = theorem_classifier(t, p)
                 cond, _ = dwork_set_condition(HGParams.for_type(t), p)
                 if verdict.verdict is Verdict.BELOW_THEOREM_RANGE:
@@ -219,9 +226,8 @@ def _verify_cells(args):
         unit = mirror_map_unit(t, 183)
         for p in (11, 19):
             v = empirical_integrality(t, p, unit)
-            yield f"remark (2,5) p={p} N=183", (
-                v.classification is Classification.INTEGRAL_EVIDENCE), {
-                    "minValuation": v.profile.min_valuation}
+            yield f"remark (2,5) p={p} N=183", v.holds(), {
+                "minValuation": v.min_valuation}
     else:
         raise ValueError(f"unknown suite {suite!r}")
 
@@ -231,8 +237,13 @@ def _default_types():
             TriangleType(3, 3), TriangleType(2, None)]
 
 
-def _default_primes(tri: TriangleType):
-    return [p for p in (11, 13, 19, 23) if gcd(p, tri.conductor) == 1]
+def _primes_for(tri: TriangleType, primes):
+    """The given primes, each checked coprime to the conductor before
+    any per-type work, or the defaults coprime to it."""
+    for p in primes:
+        require_coprime(tri, p)
+    return primes or [p for p in (11, 13, 19, 23)
+                      if gcd(p, tri.conductor) == 1]
 
 
 def cmd_verify(args) -> int:

@@ -28,7 +28,6 @@ class MirrorData:
 
     q_of_z: TruncatedSeries
     z_of_q: TruncatedSeries
-    kappa: object
     J: LaurentSeries
 
 
@@ -68,11 +67,11 @@ def mirror_map(params: HGParams, n_order: int) -> MirrorData:
     with a first-order pole.  Agreement with the Halphen J is checked
     separately in the verification lab.
     """
-    kappa = params.triangle.kappa
     q_of_z = exp_series(schwarz_map(params, n_order)).shift(1)
     z_of_q = reversion(q_of_z)
-    j = 1 / LaurentSeries.from_truncated(scale_argument(z_of_q, kappa))
-    return MirrorData(q_of_z=q_of_z, z_of_q=z_of_q, kappa=kappa, J=j)
+    j = 1 / LaurentSeries.from_truncated(
+        scale_argument(z_of_q, params.triangle.kappa))
+    return MirrorData(q_of_z=q_of_z, z_of_q=z_of_q, J=j)
 
 
 def binomial_series(alpha, n_order: int) -> TruncatedSeries:

@@ -2,10 +2,14 @@
 expansions, the series-level Dwork congruences, and cross-route
 consistency between the Halphen and hypergeometric pipelines.
 
-Every integrality check has the shape "one type, many primes": each
-check takes the per-type series it tests (the unit q(a,b|z)/z, the
-Schwarz map D(a,b|z), the checked generators), which the caller builds
-once at the largest order it needs, and does only the per-prime work.
+Every p-adic check returns the ValuationProfile it decided on, with its
+prime, the valuation of each coefficient checked, the bound they must
+reach (0 for integrality, 1 for a congruence mod p) and the first index
+that falls short.  Every integrality check has the shape "one type,
+many primes": each check takes the per-type series it tests (the unit
+q(a,b|z)/z, the Schwarz map D(a,b|z), the checked generators), which
+the caller builds once at the largest order it needs, and does only the
+per-prime work.
 
 The test object for integrality is the mirror map q(a,b|z) rather than
 J itself: reversion of a unit-linear-coefficient series, scaling by a
@@ -20,9 +24,8 @@ profile at order N is bounded evidence, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import FormulaMismatch, OrderShortfall, RouteMismatch
 from .halphen import (
@@ -36,7 +39,6 @@ from .halphen import (
 )
 from .hypergeom import mirror_map, schwarz_map
 from .dwork import dwork_images, require_coprime
-from .rationals import padic_valuation, rational_to_str
 from .series import (
     LaurentSeries,
     TruncatedSeries,
@@ -47,50 +49,14 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Outcome of a coefficient-wise congruence check.
-
-    failures lists (index, valuation found, valuation required); the
-    congruence holds to the checked order iff failures is empty.
-    """
-
-    description: str
-    prime: int
-    orders_checked: int
-    failures: tuple = ()
-    details: dict = field(default_factory=dict)
-
-    def holds(self) -> bool:
-        return not self.failures
-
-
 class Classification(Enum):
     INTEGRAL_EVIDENCE = "integralEvidence"
     NON_INTEGRAL_EVIDENCE = "nonIntegralEvidence"
 
-
-@dataclass(frozen=True)
-class EmpiricalVerdict:
-    triangle: TriangleType
-    prime: int
-    orders: int
-    profile: ValuationProfile
-    classification: Classification
-    first_negative_index: Optional[int]
-
-
-def _verdict(tri: TriangleType, p: int, series: TruncatedSeries,
-             start_index: int) -> EmpiricalVerdict:
-    """Valuation profile of series, whose index i is the coefficient of
-    z^(start_index + i), classified by its first negative valuation."""
-    profile = replace(valuation_profile(series, p), start_index=start_index)
-    first_neg = profile.first_index_below(0)
-    classification = (Classification.NON_INTEGRAL_EVIDENCE
-                      if first_neg is not None
-                      else Classification.INTEGRAL_EVIDENCE)
-    return EmpiricalVerdict(tri, p, series.truncation, profile,
-                            classification, first_neg)
+    @classmethod
+    def of(cls, profile: ValuationProfile) -> "Classification":
+        return (cls.INTEGRAL_EVIDENCE if profile.holds()
+                else cls.NON_INTEGRAL_EVIDENCE)
 
 
 def mirror_map_unit(tri: TriangleType, n_order: int) -> TruncatedSeries:
@@ -101,21 +67,12 @@ def mirror_map_unit(tri: TriangleType, n_order: int) -> TruncatedSeries:
 
 
 def empirical_integrality(tri: TriangleType, p: int,
-                          unit: TruncatedSeries) -> EmpiricalVerdict:
+                          unit: TruncatedSeries) -> ValuationProfile:
     """Valuation profile of the mirror map q(a,b|z) = z unit, for unit
     from mirror_map_unit, to order unit.truncation; indices are
     exponents of z in q(a,b|z)."""
     require_coprime(tri, p)
-    return _verdict(tri, p, unit, 1)
-
-
-def _valuation_failures(diff: TruncatedSeries, p: int, required: int):
-    failures = []
-    for i, c in enumerate(diff.coeffs):
-        v = padic_valuation(c, p)
-        if v is not None and v < required:
-            failures.append((i, v, required))
-    return tuple(failures)
+    return valuation_profile(unit, p, start_index=1)
 
 
 def _twisted_map(tri: TriangleType, p: int,
@@ -127,58 +84,44 @@ def _twisted_map(tri: TriangleType, p: int,
 
 
 def dwork_congruence_check(tri: TriangleType, p: int,
-                           base: TruncatedSeries) -> CongruenceReport:
+                           base: TruncatedSeries) -> ValuationProfile:
     """D(delta(a), delta(b) | z^p) - p D(a,b|z) for base = D(a,b|z):
     every coefficient must have p-adic valuation >= 1.  Holds
     unconditionally (no integrality hypothesis)."""
     lhs = substitute_power(_twisted_map(tri, p, base), p)
-    return CongruenceReport(
-        description=f"dwork-congruence {tri}", prime=p,
-        orders_checked=base.truncation,
-        failures=_valuation_failures(lhs - p * base, p, 1))
+    return valuation_profile(lhs - p * base, p, bound=1)
 
 
 def schwarz_congruence_check(tri: TriangleType, p: int,
-                             base: TruncatedSeries) -> CongruenceReport:
+                             base: TruncatedSeries) -> ValuationProfile:
     """D(delta(a), delta(b) | z) - D(a,b|z) for base = D(a,b|z):
     valuation >= 1 everywhere exactly when the mirror map is p-integral
     (the biconditional is observed, not assumed)."""
-    lhs = _twisted_map(tri, p, base)
-    return CongruenceReport(
-        description=f"schwarz-congruence {tri}", prime=p,
-        orders_checked=base.truncation,
-        failures=_valuation_failures(lhs - base, p, 1))
+    return valuation_profile(_twisted_map(tri, p, base) - base, p, bound=1)
 
 
-def dieudonne_check(u: TruncatedSeries, p: int) -> CongruenceReport:
-    """Additive Dieudonne-Dwork equivalence, evaluated on both sides:
-    exp(u) has p-integral coefficients iff exp(u(z^p) - p u(z)) is
-    1 mod p.  Both predicates are computed exactly to order
-    u.truncation and compared; the report holds iff they agree."""
-    exp_integral = valuation_profile(exp_series(u), p).is_integral()
+def dieudonne_check(u: TruncatedSeries, p: int
+                    ) -> Tuple[ValuationProfile, ValuationProfile]:
+    """Both sides of the additive Dieudonne-Dwork equivalence, exactly
+    to order u.truncation: the integrality profile of exp(u), and the
+    mod-p profile of exp(u(z^p) - p u(z)) - 1.  The equivalence holds
+    when both profiles hold or neither does."""
     twisted = exp_series(substitute_power(u, p) - p * u)
-    congruent = not _valuation_failures(twisted - 1, p, 1)
-    failures = () if exp_integral == congruent else (
-        ("predicate-mismatch", exp_integral, congruent),)
-    return CongruenceReport(
-        description="dieudonne-dwork", prime=p, orders_checked=u.truncation,
-        failures=failures,
-        details={"exp_integral": exp_integral, "congruence_holds": congruent})
+    return (valuation_profile(exp_series(u), p),
+            valuation_profile(twisted - 1, p, bound=1))
 
 
-def cross_route_consistency(tri: TriangleType, n_order: int) -> CongruenceReport:
+def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
     """Halphen J must equal hypergeometric J coefficient-exactly through
     q^n_order.
 
     Each route loses orders to division and reversion: both J's reach
     q^n_order from inputs at order n_order + 2, and a shorter common
-    truncation raises OrderShortfall.  Any disagreement is a hard error.
+    truncation raises OrderShortfall.  Any disagreement raises
+    RouteMismatch.
     """
-    sol = solve_halphen(tri, n_order + 2)
-    j_halphen = hauptmodul_from_halphen(sol)
-    params = HGParams.for_type(tri)
-    mirror = mirror_map(params, n_order + 2)
-    j_hyper = mirror.J
+    j_halphen = hauptmodul_from_halphen(solve_halphen(tri, n_order + 2))
+    j_hyper = mirror_map(HGParams.for_type(tri), n_order + 2).J
     top = min(j_halphen.truncation, j_hyper.truncation)
     if top < n_order:
         raise OrderShortfall(
@@ -187,9 +130,6 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> CongruenceReport
         lhs, rhs = j_halphen.coefficient(e), j_hyper.coefficient(e)
         if lhs != rhs:
             raise RouteMismatch(e, lhs, rhs)
-    return CongruenceReport(
-        description=f"cross-route {tri}", prime=0, orders_checked=n_order,
-        details={"kappa": rational_to_str(mirror.kappa)})
 
 
 def hauptmodul_theta(j: LaurentSeries) -> LaurentSeries:
@@ -237,8 +177,8 @@ def checked_generators(tri: TriangleType, n_order: int
 
 def generator_integrality(tri: TriangleType, p: int,
                           generators: List[Tuple[str, TruncatedSeries]]
-                          ) -> List[Tuple[str, EmpiricalVerdict]]:
-    """The valuation profile of each generator from checked_generators."""
+                          ) -> List[Tuple[str, ValuationProfile]]:
+    """The integrality profile of each generator from checked_generators."""
     require_coprime(tri, p)
-    return [(label, _verdict(tri, p, series, 0))
+    return [(label, valuation_profile(series, p))
             for label, series in generators]

@@ -547,39 +547,45 @@ class LaurentSeries:
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """Per-coefficient p-adic valuations of a series.
+    """Per-coefficient p-adic valuations of a series against a bound.
 
     entries[i] is v_p of the coefficient at index start_index + i, or
-    None when that coefficient is zero.  min_valuation is the minimum
-    over finite entries (None if every coefficient vanishes).
+    None when that coefficient is zero.  bound is the valuation every
+    coefficient must reach: 0 for p-integrality, 1 for a congruence
+    mod p.
     """
 
     prime: int
     entries: tuple
-    min_valuation: Optional[int]
     start_index: int = 0
+    bound: int = 0
 
-    def first_index_below(self, bound: int) -> Optional[int]:
+    @property
+    def min_valuation(self) -> Optional[int]:
+        """The least finite entry (None if every coefficient vanishes)."""
+        return min((v for v in self.entries if v is not None), default=None)
+
+    @property
+    def first_failure(self) -> Optional[int]:
+        """The first index whose valuation is below bound, or None."""
         for i, v in enumerate(self.entries):
-            if v is not None and v < bound:
+            if v is not None and v < self.bound:
                 return self.start_index + i
         return None
 
-    def is_integral(self) -> bool:
-        return self.min_valuation is None or self.min_valuation >= 0
+    def holds(self) -> bool:
+        return self.first_failure is None
 
 
-def valuation_profile(s, p: int) -> ValuationProfile:
-    """Valuation profile of a TruncatedSeries or LaurentSeries."""
+def valuation_profile(s, p: int, bound: int = 0,
+                      start_index: int = 0) -> ValuationProfile:
+    """Valuation profile of a TruncatedSeries or LaurentSeries against
+    bound; the coefficient of exponent e gets index start_index + e."""
     if isinstance(s, LaurentSeries):
-        coeffs, start = s.coeffs, s.lowest_exponent
-    else:
-        coeffs, start = s.coeffs, 0
-    entries = tuple(padic_valuation(c, p) for c in coeffs)
-    finite = [v for v in entries if v is not None]
+        start_index += s.lowest_exponent
     return ValuationProfile(
         prime=p,
-        entries=entries,
-        min_valuation=min(finite) if finite else None,
-        start_index=start,
+        entries=tuple(padic_valuation(c, p) for c in s.coeffs),
+        start_index=start_index,
+        bound=bound,
     )

@@ -29,7 +29,6 @@ from triforms.halphen import (
 )
 from triforms.hypergeom import euler_identity_check, schwarz_map
 from triforms.lab import (
-    Classification,
     cross_route_consistency,
     dwork_congruence_check,
     empirical_integrality,
@@ -74,9 +73,8 @@ def test_criterion_02_183_term_integrality(capsys):
     ok = True
     unit = mirror_map_unit(tri, 183)
     for p in (11, 19):
-        verdict = empirical_integrality(tri, p, unit)
-        ok = ok and verdict.classification is Classification.INTEGRAL_EVIDENCE
-        ok = ok and verdict.profile.min_valuation >= 0
+        profile = empirical_integrality(tri, p, unit)
+        ok = ok and profile.holds() and profile.min_valuation >= 0
     _report(capsys, 2,
             "(2,5) mirror map p-integral to 183 terms for p = 11, 19", ok)
 
@@ -88,8 +86,8 @@ def test_criterion_03_non_integrality_witness(capsys):
     ok = True
     unit = mirror_map_unit(tri, 100)
     for p, index in frozen.items():
-        verdict = empirical_integrality(tri, p, unit)
-        ok = ok and verdict.first_negative_index == index
+        profile = empirical_integrality(tri, p, unit)
+        ok = ok and profile.first_failure == index
         ok = ok and index <= 100
     _report(capsys, 3,
             "(2,5) negative valuation at index 14 (p=13) and 18 (p=17)", ok)
@@ -146,10 +144,8 @@ def test_criterion_06_schwarz_biconditional(capsys):
         unit = mirror_map_unit(tri, max(n_order, 2 * coprime[-1] + 20))
         for p in coprime:
             congruent = schwarz_congruence_check(tri, p, base_map).holds()
-            verdict = empirical_integrality(
-                tri, p, unit.retruncate(max(n_order, 2 * p + 20)))
-            integral = (verdict.classification
-                        is Classification.INTEGRAL_EVIDENCE)
+            integral = empirical_integrality(
+                tri, p, unit.retruncate(max(n_order, 2 * p + 20))).holds()
             ok = ok and congruent == integral
             cells += 1
     _report(capsys, 6,
@@ -158,14 +154,13 @@ def test_criterion_06_schwarz_biconditional(capsys):
 
 
 def test_criterion_07_cross_route(capsys):
-    ok = True
     for tri in (TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),
                 TriangleType(3, 3), TriangleType(2, None)):
-        report = cross_route_consistency(tri, 40)  # raises on any mismatch
-        ok = ok and report.orders_checked == 40
+        # raises unless both routes reach q^40 and agree through it
+        cross_route_consistency(tri, 40)
     _report(capsys, 7,
             "Halphen and hypergeometric J agree exactly to order 40 "
-            "for five types", ok)
+            "for five types", True)
 
 
 def test_criterion_08_hecke_equivalence(capsys):

@@ -12,6 +12,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to triforms.<module>.<name>
+    made through the cli or lab bindings."""
+    import triforms
+    original = getattr(importlib.import_module(f"triforms.{module}"), name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in (triforms.cli, triforms.lab):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 class TestParsePrimes:
     def test_range_inclusive(self):
         assert parse_primes("10..20") == [11, 13, 17, 19]
@@ -57,6 +74,15 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--type", "2,3",
                            "--series", "bogus", "--N", "4")
         assert code == 2
+        assert "unknown series" in err
+
+    @pytest.mark.parametrize("alias", ["zofq", "q", "z"])
+    def test_undocumented_alias_is_usage_error(self, capsys, alias):
+        # the mirror maps are named qmap and zmap only
+        code, out, err = run(capsys, "expand", "--type", "2,3",
+                             "--series", alias, "--N", "4")
+        assert code == 2
+        assert out == ""
         assert "unknown series" in err
 
     def test_deterministic_json(self, capsys):
@@ -134,21 +160,28 @@ class TestVerify:
     ])
     def test_type_series_built_once(self, capsys, monkeypatch,
                                     suite, module, name, calls):
-        import triforms
-        original = getattr(importlib.import_module(f"triforms.{module}"), name)
-        count = []
-
-        def counted(*args):
-            count.append(args)
-            return original(*args)
-
-        for mod in (triforms.cli, triforms.lab):
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+        count = count_calls(monkeypatch, module, name)
         code, _, _ = run(capsys, "verify", "--suite", suite, "--type", "2,5",
                          "--primes", "11..13", "--N", "30")
         assert code == 0
         assert len(count) == calls
+
+    @pytest.mark.parametrize("suite, module, name", [
+        ("schwarz", "hypergeom", "schwarz_map"),
+        ("dwork", "hypergeom", "schwarz_map"),
+        ("generators", "halphen", "solve_halphen"),
+    ])
+    def test_shared_factor_fails_before_type_work(self, capsys, monkeypatch,
+                                                  suite, module, name):
+        # every given prime is checked against the conductor before the
+        # per-type series is built
+        count = count_calls(monkeypatch, module, name)
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--type", "2,5", "--primes", "5..11", "--N", "20")
+        assert code == 2
+        assert out == ""
+        assert "p = 5 shares a factor with 20" in err
+        assert count == []
 
     def test_lemma2(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma2",

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
-from triforms.lab import empirical_integrality, mirror_map_unit
+from triforms.lab import (
+    Classification, empirical_integrality, mirror_map_unit)
 from triforms.rationals import primes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +33,7 @@ def test_integrality_matrix_rows_match_library():
     for row in rows:
         p = int(row[1])
         v = empirical_integrality(tri, p, unit)
-        expected = [str(tri), p, 60, v.classification.value,
-                    v.first_negative_index, v.profile.min_valuation,
+        expected = [str(tri), p, 60, Classification.of(v).value,
+                    v.first_failure, v.min_valuation,
                     theorem_classifier(tri, p).verdict.value]
         assert row == ["" if x is None else str(x) for x in expected]

@@ -266,6 +266,29 @@ class TestValuationProfile:
     def test_integral(self):
         prof = valuation_profile(ts(1, 1), 7)
         assert prof.entries == (0, 0)
+        assert prof.holds() and prof.first_failure is None
+
+    def test_bound_and_first_failure(self):
+        # bound 1 is a congruence mod p: a p-unit coefficient fails it
+        s = ts(0, 5, 1, "1/5")
+        assert valuation_profile(s, 5).first_failure == 3
+        mod_p = valuation_profile(s, 5, bound=1)
+        assert mod_p.first_failure == 2
+        assert not mod_p.holds()
+        assert valuation_profile(s, 5, bound=1, start_index=1
+                                 ).first_failure == 3
+
+    def test_laurent_indices_are_exponents(self):
+        s = LaurentSeries(-1, [QQ(1, 7), 1, QQ(1, 7)], 1)
+        prof = valuation_profile(s, 7)
+        assert prof.start_index == -1
+        assert prof.first_failure == -1
+        assert prof.min_valuation == -1
+
+    def test_all_zero_holds(self):
+        prof = valuation_profile(TruncatedSeries.zero(3), 5, bound=1)
+        assert prof.min_valuation is None
+        assert prof.holds()
 
     def test_geometric_in_p(self):
         p = 7
@@ -293,8 +316,8 @@ class TestValuationProfile:
         # follows from the division recursion; this is what justifies
         # the leading-coefficient-1 normalization in the lab)
         inv = divide(TruncatedSeries.one(12), s)
-        assert valuation_profile(s, p).is_integral() == \
-            valuation_profile(inv, p).is_integral()
+        assert valuation_profile(s, p).holds() == \
+            valuation_profile(inv, p).holds()
 
 
 class TestLaurent:
