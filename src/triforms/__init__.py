@@ -10,7 +10,7 @@ from .halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import MirrorData, mirror_map, schwarz_map
+from .hypergeom import hauptmodul_from_mirror, mirror_map, schwarz_map
 from .dwork import (
     IntegralityVerdict,
     Verdict,

@@ -16,54 +16,41 @@ from .halphen import HGParams, TriangleType
 from .rationals import QQ, numden
 
 
-@dataclass(frozen=True)
-class DworkImage:
-    """delta_p(x) together with its validated digit witness."""
-
-    x: object
-    prime: int
-    image: object
-    digit_witness: int
-
-    def __post_init__(self):
-        witness = self.prime * self.image - self.x
-        if witness != self.digit_witness or not (
-                0 <= self.digit_witness <= self.prime - 1):
-            raise InvariantViolation(
-                f"p * delta(x) - x = {witness} is not the digit "
-                f"{self.digit_witness} in 0..{self.prime - 1}")
-
-
 def require_coprime(tri: TriangleType, p: int) -> None:
     """Raise SharedFactor unless p is coprime to the conductor of tri."""
     if gcd(p, tri.conductor) > 1:
         raise SharedFactor(f"p = {p} shares a factor with {tri.conductor}")
 
 
-def dwork_map(x, p: int) -> DworkImage:
+def dwork_map(x, p: int):
     """delta_p(x) = (p^{-1} x1 mod x2) / x2 for x = x1/x2 in lowest
     terms, representative in [0, x2); requires p coprime to x2 and
-    0 <= x < 1 (or x integral)."""
+    0 <= x < 1 (or x integral).  p * delta_p(x) - x is a digit in
+    0..p-1."""
     x = QQ(x)
     x1, x2 = numden(x)
     if x1 < 0:
         raise ValueError("dwork_map expects x >= 0")
+    if x2 > 1 and x1 > x2:
+        raise ValueError("dwork_map expects x < 1 unless x is an integer")
     if x2 % p == 0:
         raise PrimeDividesDenominator(f"p = {p} divides denominator {x2}")
     if x2 == 1:
-        # integer input: p * image - x must land in [0, p-1]
         image = QQ((x1 + (-x1) % p) // p)
     else:
         inv = pow(p, -1, x2)
         image = QQ((inv * x1) % x2, x2)
-    witness = p * image - x
-    return DworkImage(x=x, prime=p, image=image, digit_witness=int(witness))
+    digit = p * image - x
+    if not (digit == int(digit) and 0 <= digit <= p - 1):
+        raise InvariantViolation(
+            f"p * delta(x) - x = {digit} is not a digit in 0..{p - 1}")
+    return image
 
 
 def dwork_images(params: HGParams, p: int) -> HGParams:
     """The twisted parameters (delta_p(a), delta_p(b)), larger first."""
-    da = dwork_map(params.a, p).image
-    db = dwork_map(params.b, p).image
+    da = dwork_map(params.a, p)
+    db = dwork_map(params.b, p)
     return HGParams(max(da, db), min(da, db), params.triangle)
 
 
@@ -225,8 +212,7 @@ def takeuchi_scan(bound: int) -> List[TriangleType]:
     return found
 
 
-def lemma_two_check(p: int, sample: Optional[List[int]] = None
-                    ) -> Tuple[bool, List[tuple]]:
+def lemma_two_check(p: int) -> Tuple[bool, List[tuple]]:
     """Brute-force the degree-1/degree-2 Schwarz coefficient criterion
     over F_p: C1 = sigma - 2 tau and 4 C2 = sigma^2 - 5 sigma tau
     + 5 tau^2 + sigma - tau agree for (a1,b1) and (a2,b2) iff
@@ -234,8 +220,6 @@ def lemma_two_check(p: int, sample: Optional[List[int]] = None
     """
     if p <= 2:
         raise ValueError("need an odd prime")
-    if sample is None:
-        sample = list(range(p))
 
     def cvals(a, b):
         sigma, tau = (a + b) % p, (a * b) % p
@@ -245,15 +229,15 @@ def lemma_two_check(p: int, sample: Optional[List[int]] = None
         return c1, four_c2
 
     counterexamples = []
-    for a1 in sample:
-        for b1 in sample:
+    for a1 in range(p):
+        for b1 in range(p):
             left = cvals(a1, b1)
-            base = {a1 % p, b1 % p}
+            base = {a1, b1}
             comp = {(1 - a1) % p, (1 - b1) % p}
-            for a2 in sample:
-                for b2 in sample:
+            for a2 in range(p):
+                for b2 in range(p):
                     equal = cvals(a2, b2) == left
-                    expected = {a2 % p, b2 % p} in (base, comp)
+                    expected = {a2, b2} in (base, comp)
                     if equal != expected:
                         counterexamples.append((a1, b1, a2, b2))
     return not counterexamples, counterexamples

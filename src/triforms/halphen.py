@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import DegenerateDenominator, InvariantViolation
 from .rationals import QQ, ZERO
-from .series import LaurentSeries, TruncatedSeries, theta_derivative
+from .series import LaurentSeries, TruncatedSeries
 
 INFINITY = None  # m2 = infinity marker
 
@@ -162,23 +162,6 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
         t2=TruncatedSeries(t2, n_order),
         t3=TruncatedSeries(t3, n_order),
     )
-
-
-def halphen_residuals(sol: HalphenSolution) -> list:
-    """The three equation residuals, with the solution's truncation N;
-    for an exact solution every coefficient through q^N is zero."""
-    params = HGParams.for_type(sol.triangle)
-    a, b, c = params.a, params.b, 1 - params.a
-    t1, t2, t3 = sol.t1, sol.t2, sol.t3
-    res = [
-        theta_derivative(t1) - ((a - 1) * (t1 * t2 + t1 * t3 - t2 * t3)
-                                + (b + c - 1) * t1 * t1),
-        theta_derivative(t2) - ((b - 1) * (t2 * t1 + t2 * t3 - t1 * t3)
-                                + (a + c - 1) * t2 * t2),
-        theta_derivative(t3) - ((c - 1) * (t3 * t1 + t3 * t2 - t1 * t2)
-                                + (a + b - 1) * t3 * t3),
-    ]
-    return res
 
 
 def hauptmodul_from_halphen(sol: HalphenSolution) -> LaurentSeries:

@@ -37,7 +37,7 @@ from .halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import mirror_map, schwarz_map
+from .hypergeom import hauptmodul_from_mirror, mirror_map, schwarz_map
 from .dwork import dwork_images, require_coprime
 from .series import (
     LaurentSeries,
@@ -121,7 +121,8 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
     RouteMismatch.
     """
     j_halphen = hauptmodul_from_halphen(solve_halphen(tri, n_order + 2))
-    j_hyper = mirror_map(HGParams.for_type(tri), n_order + 2).J
+    j_hyper = hauptmodul_from_mirror(
+        mirror_map(HGParams.for_type(tri), n_order + 2), tri.kappa)
     top = min(j_halphen.truncation, j_hyper.truncation)
     if top < n_order:
         raise OrderShortfall(

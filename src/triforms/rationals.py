@@ -22,11 +22,9 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 
 def QQ(num=0, den=None):
-    """Exact rational from integers, a rational, or a 'num/den' string."""
+    """Exact rational from integers or a rational."""
     if den is not None:
         return _backend(num, den)
-    if isinstance(num, str):
-        return parse_rational(num)
     return _backend(num)
 
 
@@ -82,11 +80,3 @@ def rational_to_str(x) -> str:
     """Serialize as 'num/den', e.g. '-5/12'; integers keep '/1'."""
     num, den = numden(x)
     return f"{num}/{den}"
-
-
-def parse_rational(s: str):
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return _backend(int(num), int(den))
-    return _backend(int(s))

@@ -70,11 +70,6 @@ class TruncatedSeries:
 
     # -- inspection ------------------------------------------------------
 
-    def __getitem__(self, n: int):
-        if not 0 <= n <= self.truncation:
-            raise IndexError(f"coefficient index {n} outside 0..{self.truncation}")
-        return self.coeffs[n]
-
     @property
     def constant_term(self):
         return self.coeffs[0]
@@ -86,9 +81,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.truncation))
 
     def agrees_with(self, other: "TruncatedSeries") -> Optional[int]:
         """First index (up to the common truncation) where coefficients
@@ -434,9 +426,6 @@ class LaurentSeries:
                 and self.lowest_exponent == other.lowest_exponent
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.lowest_exponent, self.coeffs, self.truncation))
-
     def agrees_with(self, other: "LaurentSeries") -> Optional[int]:
         """First exponent (up to the common truncation) where the two
         disagree, or None."""
@@ -513,10 +502,13 @@ class LaurentSeries:
             return NotImplemented
         if other.is_zero():
             raise ZeroConstantTerm("division by zero Laurent series")
-        # other = q^l * unit; invert the unit part as a power series
-        unit = other.body
-        inv = divide(TruncatedSeries.one(unit.truncation), unit)
-        return self * LaurentSeries.from_truncated(inv, -other.lowest_exponent)
+        # (q^k u) / (q^l v) = q^(k-l) (u/v), v a unit power series
+        if self.is_zero():
+            top = self.truncation - other.lowest_exponent
+            return LaurentSeries(top + 1, [], top)
+        return LaurentSeries.from_truncated(
+            divide(self.body, other.body),
+            self.lowest_exponent - other.lowest_exponent)
 
     def __rtruediv__(self, other):
         if is_rational(other):

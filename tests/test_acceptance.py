@@ -23,11 +23,10 @@ from triforms.halphen import (
     eisenstein_one,
     eisenstein_two,
     generator_range,
-    halphen_residuals,
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.hypergeom import euler_identity_check, schwarz_map
+from triforms.hypergeom import schwarz_map
 from triforms.lab import (
     cross_route_consistency,
     dwork_congruence_check,
@@ -38,6 +37,8 @@ from triforms.lab import (
 )
 from triforms.series import LaurentSeries
 from triforms.rationals import primes
+
+from oracles import euler_identity_check, halphen_residuals
 
 
 def _report(capsys, number, description, ok):

@@ -85,6 +85,18 @@ class TestExpand:
         assert out == ""
         assert "unknown series" in err
 
+    def test_mirror_maps_at_order_zero(self, capsys):
+        # q(a,b|z) needs no reversion; z(q) has no linear term to invert
+        code, out, _ = run(capsys, "expand", "--type", "2,3",
+                           "--series", "qmap", "--N", "0")
+        assert code == 0
+        assert json.loads(out)["result"]["coeffs"] == ["0/1"]
+        code, out, err = run(capsys, "expand", "--type", "2,3",
+                             "--series", "zmap", "--N", "0")
+        assert code == 2
+        assert out == ""
+        assert "nonzero linear coefficient" in err
+
     def test_deterministic_json(self, capsys):
         _, out1, _ = run(capsys, "expand", "--type", "3,4",
                          "--series", "D", "--N", "10")

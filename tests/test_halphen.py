@@ -8,12 +8,13 @@ from triforms.halphen import (
     eisenstein_one,
     eisenstein_two,
     generator_range,
-    halphen_residuals,
     hauptmodul_from_halphen,
     solve_halphen,
 )
 from triforms.rationals import QQ
 from triforms.series import LaurentSeries, theta_derivative
+
+from oracles import halphen_residuals
 
 SAMPLE_TYPES = [
     TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),

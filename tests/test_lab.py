@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -13,7 +11,7 @@ from triforms.errors import (
 )
 from triforms.halphen import (
     HGParams, TriangleType, hauptmodul_from_halphen, solve_halphen)
-from triforms.hypergeom import mirror_map, schwarz_map
+from triforms.hypergeom import hauptmodul_from_mirror, mirror_map, schwarz_map
 from triforms.lab import (
     Classification,
     checked_generators,
@@ -31,7 +29,6 @@ from triforms.series import (
     TruncatedSeries,
     log_series,
     reversion,
-    scale_argument,
     valuation_profile,
 )
 
@@ -171,13 +168,8 @@ class TestCrossRoute:
 
     def test_mismatch_is_hard_error(self, monkeypatch):
         # a mirror route scaled by -kappa disagrees from the pole on
-        def wrong_route(params, n):
-            data = mirror_map(params, n)
-            wrong = 1 / LaurentSeries.from_truncated(
-                scale_argument(data.z_of_q, -params.triangle.kappa))
-            return dataclasses.replace(data, J=wrong)
-
-        monkeypatch.setattr(lab, "mirror_map", wrong_route)
+        monkeypatch.setattr(lab, "hauptmodul_from_mirror", lambda q, kappa:
+                            hauptmodul_from_mirror(q, -kappa))
         with pytest.raises(RouteMismatch):
             cross_route_consistency(TriangleType(2, 3), 8)
 
@@ -261,5 +253,6 @@ class TestIntegralityTransportJustification:
         unit = mirror_map_unit(TRI25, 25)
         for p in (11, 13):
             q_integral = empirical_integrality(TRI25, p, unit).holds()
-            j = mirror_map(HGParams.for_type(TRI25), 26).J
+            j = hauptmodul_from_mirror(
+                mirror_map(HGParams.for_type(TRI25), 26), TRI25.kappa)
             assert valuation_profile(j, p).holds() == q_integral

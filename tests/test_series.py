@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
@@ -8,7 +10,7 @@ from triforms.errors import (
     NotInvertible,
     ZeroConstantTerm,
 )
-from triforms.rationals import QQ, padic_valuation, parse_rational, rational_to_str
+from triforms.rationals import QQ, padic_valuation, rational_to_str
 from triforms.series import (
     LaurentSeries,
     TruncatedSeries,
@@ -34,8 +36,7 @@ from conftest import (
 
 
 def ts(*coeffs, N=None):
-    return TruncatedSeries([QQ(c) if "/" not in str(c) else parse_rational(str(c))
-                            for c in coeffs], N)
+    return TruncatedSeries([Fraction(str(c)) for c in coeffs], N)
 
 
 def naive_product(x, y):
@@ -446,13 +447,21 @@ class TestLaurentDifferential:
     @given(laurent_series, laurent_series)
     @example(pole2, pole2)
     @example(zero, pole2)
+    @example(LaurentSeries(2, [QQ(1), QQ(-2), QQ(0), QQ(5, 3)], 6),
+             LaurentSeries(-1, [QQ(3), QQ(1, 2)], 1))
+    @example(LaurentSeries(-2, [QQ(1, 2), QQ(4)], 0),
+             LaurentSeries(1, [QQ(-2), QQ(0), QQ(7)], 6))
     def test_division(self, x, y):
+        # every draw also divides the zero series of x's truncation
+        zero_x = LaurentSeries(x.truncation + 1, [], x.truncation)
         if y.is_zero():
-            with pytest.raises(ZeroConstantTerm):
-                x / y
+            for num in (x, zero_x):
+                with pytest.raises(ZeroConstantTerm):
+                    num / y
             return
-        nx, ny = NaiveLaurent.of(x), NaiveLaurent.of(y)
-        assert _shape(x / y) == (nx * ny.inverse()).shape()
+        ny = NaiveLaurent.of(y)
+        for num in (x, zero_x):
+            assert _shape(num / y) == (NaiveLaurent.of(num) * ny.inverse()).shape()
         assert _shape(1 / y) == ny.inverse().shape()
 
     @given(laurent_series, st.integers(min_value=0, max_value=4))
@@ -472,8 +481,9 @@ class TestLaurentDifferential:
 class TestSerialization:
     def test_rational_round_trip(self):
         assert rational_to_str(QQ(-5, 12)) == "-5/12"
-        assert parse_rational("-5/12") == QQ(-5, 12)
-        assert parse_rational("7") == QQ(7)
+        assert rational_to_str(QQ(7)) == "7/1"
+        for x in (QQ(-5, 12), QQ(7), QQ(0)):
+            assert Fraction(rational_to_str(x)) == x
 
     def test_series_json(self):
         s = ts(1, "-1/2", N=3)

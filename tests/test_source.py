@@ -16,3 +16,30 @@ def test_no_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_top_level_name_is_used():
+    # a top-level function or class that no other package code names
+    # (by Name, Attribute or import, __init__.py re-exports included) is
+    # dead surface; oracles that only tests call live in tests/oracles.py
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = (stmt.name if isinstance(
+                stmt, (ast.FunctionDef, ast.ClassDef)) else None)
+            if own:
+                defined[own] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert defined
+    assert sorted(f"{path}:{name}" for name, path in defined.items()
+                  if name not in used) == []
