@@ -145,10 +145,7 @@ def cmd_classify(args) -> int:
             verdict.verdict is Verdict.BELOW_THEOREM_RANGE)
         rows.append(entry)
     payload = {"command": "classify", "type": str(tri), "results": rows}
-    csv_rows = [{"type": r["type"], "p": r["p"], "N": "",
-                 "verdict": r["verdict"], "firstNegativeIndex": "",
-                 "minValuation": ""} for r in rows]
-    emit(payload, args.format, rows=csv_rows)
+    emit(payload, args.format, rows=rows)
     return 0
 
 
@@ -253,6 +250,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"suite {args.suite} does not read {', '.join(unread)}")
     if args.N is None:
         args.N = VERIFY_ORDER
+    if args.N < 1:
+        raise ValueError(f"--N must be at least 1, not {args.N}")
     cells = []
     failures = []
     for name, ok, extra in _verify_cells(args):

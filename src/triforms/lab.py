@@ -77,10 +77,13 @@ def empirical_integrality(tri: TriangleType, p: int,
 
 def _twisted_map(tri: TriangleType, p: int,
                  base: TruncatedSeries) -> TruncatedSeries:
-    """D(delta(a), delta(b) | z) at the order of base = D(a,b|z)."""
+    """D(delta(a), delta(b) | z) at the order of base = D(a,b|z); base
+    itself when the Dwork image of (a, b) is (a, b)."""
     require_coprime(tri, p)
-    return schwarz_map(dwork_images(HGParams.for_type(tri), p),
-                       base.truncation)
+    params = HGParams.for_type(tri)
+    twisted = dwork_images(params, p)
+    return (base if twisted == params
+            else schwarz_map(twisted, base.truncation))
 
 
 def dwork_congruence_check(tri: TriangleType, p: int,
@@ -133,21 +136,14 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
             raise RouteMismatch(e, lhs, rhs)
 
 
-def hauptmodul_theta(j: LaurentSeries) -> LaurentSeries:
-    """J-dot in the derivative formulas: -theta(J).
-
-    With this package's q-orientation (fixed by t3_1 - t1_1 = kappa > 0
-    in the Halphen solution) the t-difference identities hold with a
-    global minus sign on theta(J); validated exactly in the suite.
-    """
-    return -1 * j.theta()
-
-
 def generators_via_j(tri: TriangleType, kind: int, k: int,
                      j: LaurentSeries) -> LaurentSeries:
     """E^{(1)}_{2k} = ((J-1)/J) (Jdot/(J-1))^k;
-    E^{(2)}_{2k} = (Jdot/J)^k (J/(J-1))."""
-    jdot = hauptmodul_theta(j)
+    E^{(2)}_{2k} = (Jdot/J)^k (J/(J-1)), with Jdot = -theta(J): with the
+    q-orientation fixed by t3_1 - t1_1 = kappa > 0 in the Halphen
+    solution, the t-difference identities hold with that global minus
+    sign (validated exactly in the suite)."""
+    jdot = -1 * j.theta()
     if kind == 1:
         return (j - 1) / j * (jdot / (j - 1)) ** k
     return (jdot / j) ** k * (j / (j - 1))

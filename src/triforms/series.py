@@ -8,14 +8,14 @@ never silently extending.  There is no floating point anywhere.
 The series product clears each operand to integers over one common
 denominator, packs each into a single integer with one signed slot per
 coefficient (Kronecker substitution), does one big-integer multiply,
-and unpacks the slots; each coefficient is then reduced once.  Its
-cost grows with the bits of the common denominator, which for the
-series built here stays close to the largest single denominator;
-operands with unrelated tall denominators would make the cleared
-integers up to N times taller.
-Reversion is a Newton iteration whose update uses the derivative of the
-current approximation in place of 1/s'(g), so each step needs a single
-composition.
+and unpacks the slots.  divide, exp_series, log_series and reversion
+are Newton iterations on that product, each step a few products at a
+doubled order (Brent and Kung, J. ACM 25, 1978); exp_series carries
+1/exp(u) along, so no step divides.  A product's cost grows with the
+bits of the common denominator.  For the series built here, Newton's
+mixed-height approximations included, it stayed within 7 % of the
+largest single denominator up to N = 240 (scripts/bench_kernels.py);
+unrelated tall denominators would make it up to N times taller.
 """
 
 from __future__ import annotations
@@ -98,15 +98,12 @@ class TruncatedSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def _binary_trunc(self, other: "TruncatedSeries") -> int:
-        return min(self.truncation, other.truncation)
-
     def __add__(self, other):
         if is_rational(other):
             other = TruncatedSeries([other], self.truncation)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._binary_trunc(other)
+        n = min(self.truncation, other.truncation)
         return TruncatedSeries(
             [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
 
@@ -116,10 +113,6 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.truncation)
 
     def __sub__(self, other):
-        if is_rational(other):
-            other = TruncatedSeries([other], self.truncation)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -131,7 +124,7 @@ class TruncatedSeries:
             return TruncatedSeries([c * x for x in self.coeffs], self.truncation)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._binary_trunc(other)
+        n = min(self.truncation, other.truncation)
         a_ints, da = _common_denominator(self.coeffs[: n + 1])
         b_ints, db = _common_denominator(other.coeffs[: n + 1])
         # |c_k| <= (n + 1) max|a| max|b| < 2^(width - 1): no slot overflows
@@ -159,10 +152,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if is_rational(other):
-            c = QQ(other)
-            if c == 0:
-                raise ZeroDivisionError("division by zero rational")
-            return self * (ONE / c)
+            return self * (ONE / QQ(other))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return divide(self, other)
@@ -232,65 +222,84 @@ def _unpack(packed: int, slot: int, count: int):
     return out
 
 
+def _tail_product(a: TruncatedSeries, r: TruncatedSeries,
+                  k: int) -> TruncatedSeries:
+    """a r at the truncation of r, for r = O(q^k): only the coefficients
+    of r from q^k on are packed."""
+    high = TruncatedSeries(r.coeffs[k:], r.truncation - k)
+    return TruncatedSeries((a * high).coeffs, r.truncation).shift(k)
+
+
+def _refine_inverse(f: TruncatedSeries, g: TruncatedSeries,
+                    order: int) -> TruncatedSeries:
+    """1/f through q^order < 2k from g = 1/f through q^(k-1), as
+    g + g (1 - f g): the correction is O(q^k)."""
+    k = g.truncation + 1
+    g = TruncatedSeries(g.coeffs, order)
+    return g + _tail_product(g, 1 - f * g, k)
+
+
+def _theta_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """c_k -> c_k / k on a series with zero constant term."""
+    return TruncatedSeries(
+        [ZERO] + [c / k for k, c in enumerate(s.coeffs[1:], 1)],
+        s.truncation)
+
+
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """Power series division; den must have nonzero constant term."""
+    """Power series division; den must have nonzero constant term.
+
+    Newton steps take g = 1/den through q^h, h = floor(n/2); then one
+    Karp-Markstein step: quot = num g through q^h, and
+    quot + g (num - den quot) through q^n, as the residual is O(q^(h+1)).
+    """
     if den.constant_term == 0:
         raise ZeroConstantTerm("denominator has zero constant term")
     n = min(num.truncation, den.truncation)
-    inv0 = ONE / den.constant_term
-    out = []
-    for k in range(n + 1):
-        acc = num.coeffs[k]
-        for i in range(1, k + 1):
-            if den.coeffs[i] and out[k - i]:
-                acc -= den.coeffs[i] * out[k - i]
-        out.append(acc * inv0)
-    return TruncatedSeries(out, n)
+    g = TruncatedSeries([ONE / den.constant_term], 0)
+    while g.truncation < n // 2:
+        g = _refine_inverse(den, g, min(2 * g.truncation + 1, n // 2))
+    quot = TruncatedSeries((num * g).coeffs, n)
+    if n == 0:
+        return quot
+    return quot + _tail_product(g, num - den * quot, n // 2 + 1)
 
 
 def exp_series(u: TruncatedSeries) -> TruncatedSeries:
     """Power series exponential of u with u(0) = 0.
 
-    Uses the derivative recurrence n e_n = sum_{k=1}^{n} k u_k e_{n-k};
-    exact despite the n! denominators of the naive Taylor formula.
+    Coupled Newton iteration on e = exp(u) and h = 1/e.  With e right
+    through q^m, theta(e) - e theta(u) = e theta(log e - u) is
+    O(q^(m+1)), so h right through q^m makes w = h (theta(e) - e theta(u))
+    right through q^(2m+1), and so e - e theta^-1(w); one reciprocal
+    step then brings h to the new order, in place of a division.
     """
     if u.constant_term != 0:
         raise NonzeroConstantTerm("exp needs constant term 0")
     n = u.truncation
-    out = [ONE]
-    for m in range(1, n + 1):
-        acc = ZERO
-        for k in range(1, m + 1):
-            if u.coeffs[k] and out[m - k]:
-                acc += k * u.coeffs[k] * out[m - k]
-        out.append(acc / m)
-    return TruncatedSeries(out, n)
+    du = theta_derivative(u)
+    e = h = TruncatedSeries.one(0)
+    while e.truncation < n:
+        k = e.truncation + 1
+        e = TruncatedSeries(e.coeffs, min(2 * k - 1, n))
+        w = _tail_product(h, theta_derivative(e) - e * du, k)
+        e = e - _tail_product(e, _theta_inverse(w), k)
+        if e.truncation < n:
+            h = _refine_inverse(e, h, e.truncation)
+    return e
 
 
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of exp_series: log of a series with constant term 1."""
+    """Inverse of exp_series: theta^-1(theta(s) / s) for s(0) = 1."""
     if s.constant_term != 1:
         raise ConstantTermNotOne("log needs constant term 1")
-    d = divide(theta_derivative(s), s)
-    out = [ZERO]
-    for m in range(1, s.truncation + 1):
-        out.append(d.coeffs[m] / m)
-    return TruncatedSeries(out, s.truncation)
+    return _theta_inverse(divide(theta_derivative(s), s))
 
 
 def theta_derivative(s: TruncatedSeries) -> TruncatedSeries:
     """theta = q d/dq: c_n -> n c_n."""
     return TruncatedSeries(
         [n * c for n, c in enumerate(s.coeffs)], s.truncation)
-
-
-def derivative(s: TruncatedSeries) -> TruncatedSeries:
-    """d/dq; the result is exact to order N - 1."""
-    if s.truncation == 0:
-        return TruncatedSeries.zero(0)
-    return TruncatedSeries(
-        [n * s.coeffs[n] for n in range(1, s.truncation + 1)],
-        s.truncation - 1)
 
 
 def substitute_power(s: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -340,8 +349,8 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
     Newton iteration: if g is correct through q^m, then s'(g) g' =
     (s(g))' = 1 + O(q^m), so g' stands in for 1/s'(g) and the update
     g <- g - (s(g) - q) g' is correct through q^(2m).  Each step costs
-    one composition at the doubled order and one product; g' is the
-    derivative of the polynomial g, exact when padded with zeros.
+    one composition at the doubled order and one product; g' = theta(g)/q
+    is the derivative of the polynomial g, exact when padded with zeros.
     """
     if s.constant_term != 0 or s.truncation < 1 or s.coeffs[1] == 0:
         raise NotInvertible("need s(0) = 0 and nonzero linear coefficient")
@@ -353,7 +362,7 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
         work = TruncatedSeries(g.coeffs, order)
         residual = (compose(s.retruncate(order), work)
                     - TruncatedSeries.identity(order))
-        dg = TruncatedSeries(derivative(g).coeffs, order)
+        dg = TruncatedSeries(theta_derivative(g).coeffs[1:], order)
         g = work - residual * dg
     return g
 
@@ -460,10 +469,6 @@ class LaurentSeries:
             -self._window(lo, self.truncation), lo)
 
     def __sub__(self, other):
-        if is_rational(other):
-            other = LaurentSeries(0, [other], self.truncation)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):

@@ -1,13 +1,52 @@
 """Test-only oracles: identities the package does not run itself but
 the suite checks its series against (the Euler reflection identity,
-the hypergeometric operator, the Halphen equations)."""
+the hypergeometric operator, the Halphen equations), and the O(N^2)
+coefficient loops that the Newton kernels of divide and exp_series
+replaced."""
 
 from typing import Optional, Tuple
 
+from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
 from triforms.halphen import HalphenSolution, HGParams
 from triforms.hypergeom import mirror_map, series_f
-from triforms.rationals import ONE, QQ
+from triforms.rationals import ONE, QQ, ZERO
 from triforms.series import TruncatedSeries, theta_derivative
+
+
+def divide_by_recurrence(num: TruncatedSeries,
+                         den: TruncatedSeries) -> TruncatedSeries:
+    """Power series division; den must have nonzero constant term."""
+    if den.constant_term == 0:
+        raise ZeroConstantTerm("denominator has zero constant term")
+    n = min(num.truncation, den.truncation)
+    inv0 = ONE / den.constant_term
+    out = []
+    for k in range(n + 1):
+        acc = num.coeffs[k]
+        for i in range(1, k + 1):
+            if den.coeffs[i] and out[k - i]:
+                acc -= den.coeffs[i] * out[k - i]
+        out.append(acc * inv0)
+    return TruncatedSeries(out, n)
+
+
+def exp_by_recurrence(u: TruncatedSeries) -> TruncatedSeries:
+    """Power series exponential of u with u(0) = 0.
+
+    Uses the derivative recurrence n e_n = sum_{k=1}^{n} k u_k e_{n-k};
+    exact despite the n! denominators of the naive Taylor formula.
+    """
+    if u.constant_term != 0:
+        raise NonzeroConstantTerm("exp needs constant term 0")
+    n = u.truncation
+    out = [ONE]
+    for m in range(1, n + 1):
+        acc = ZERO
+        for k in range(1, m + 1):
+            if u.coeffs[k] and out[m - k]:
+                acc += k * u.coeffs[k] * out[m - k]
+        out.append(acc / m)
+    return TruncatedSeries(out, n)
 
 
 def binomial_series(alpha, n_order: int) -> TruncatedSeries:

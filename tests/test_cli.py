@@ -237,6 +237,18 @@ class TestVerify:
         assert out == ""
         assert f"does not read {unread}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "schwarz", "--type", "2,5", "--primes", "11"],
+        ["--suite", "dieudonne"],
+    ])
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_empty_window_is_usage_error(self, capsys, argv, order):
+        # an order below 1 checks no coefficient past the leading one
+        code, out, err = run(capsys, "verify", *argv, "--N", order)
+        assert code == 2
+        assert out == ""
+        assert f"--N must be at least 1, not {order}" in err
+
     def test_default_order_echoed(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma2",
                            "--primes", "5")

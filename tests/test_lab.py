@@ -119,6 +119,19 @@ class TestSchwarzCongruence:
         assert profile.holds()
         assert profile.min_valuation is None
 
+    def test_fixed_parameters_reuse_base(self, monkeypatch):
+        # when the Dwork image of (a, b) is (a, b), base is the twisted
+        # map: no second Schwarz map is built
+        base = base_map(TRI25, 30)
+        built = []
+        monkeypatch.setattr(lab, "schwarz_map", lambda params, n:
+                            built.append(params) or schwarz_map(params, n))
+        assert schwarz_congruence_check(TRI25, 41, base).holds()
+        assert dwork_congruence_check(TRI25, 41, base).holds()
+        assert built == []
+        assert not schwarz_congruence_check(TRI25, 13, base).holds()
+        assert built == [HGParams(QQ(19, 20), QQ(11, 20), TRI25)]
+
     def test_biconditional_with_empirical(self):
         base = base_map(TRI25, 50)
         unit = mirror_map_unit(TRI25, 50)

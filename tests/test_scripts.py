@@ -2,7 +2,9 @@
 
 import csv
 import io
+import json
 import os
+import platform
 import subprocess
 import sys
 from math import gcd
@@ -37,3 +39,28 @@ def test_integrality_matrix_rows_match_library():
                     v.first_failure, v.min_valuation,
                     theorem_classifier(tri, p).verdict.value]
         assert row == ["" if x is None else str(x) for x in expected]
+
+
+def test_bench_kernels_smoke(tmp_path):
+    out = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_kernels.py"),
+         "--out", str(out), "--orders", "6,9", "--types", "2,5;2,inf"],
+        env=env, capture_output=True, text=True, check=True)
+    payload = json.loads(out.read_text())
+    assert payload["backend"] in ("fractions", "gmpy2")
+    assert payload["python"] == platform.python_version()
+    rows = payload["results"]
+    assert {(r["kernel"], r["impl"]) for r in rows} == {
+        ("mul", "packed"), ("divide", "newton"), ("divide", "loop"),
+        ("exp", "newton"), ("exp", "loop"), ("log", "newton"),
+        ("compose", "horner"), ("reversion", "newton")}
+    assert len(rows) == 8 * 2 * 2
+    assert {(r["type"], r["N"]) for r in rows} == {
+        (t, n) for t in ("(2,5)", "(2,inf)") for n in (6, 9)}
+    for r in rows:
+        assert r["seconds"] >= 0 and r["runs"] >= 1
+        assert r["max_num_bits"] >= 1 and r["max_den_bits"] >= 1
+        # only the loops run without a packed product
+        assert (r["common_den_bits"] is None) == (r["impl"] == "loop")

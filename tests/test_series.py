@@ -10,6 +10,8 @@ from triforms.errors import (
     NotInvertible,
     ZeroConstantTerm,
 )
+from triforms.halphen import HGParams, TriangleType
+from triforms.hypergeom import series_f, series_g
 from triforms.rationals import QQ, padic_valuation, rational_to_str
 from triforms.series import (
     LaurentSeries,
@@ -33,6 +35,7 @@ from conftest import (
     unit_series,
     zero_constant_series,
 )
+from oracles import divide_by_recurrence, exp_by_recurrence
 
 
 def ts(*coeffs, N=None):
@@ -151,6 +154,67 @@ class TestDivision:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroConstantTerm):
             divide(TruncatedSeries.one(3), ts(0, 1, N=3))
+
+
+nonzero_coefficients = mixed_coefficients.filter(lambda c: c != 0)
+# denominators: any order 0..12, constant term any nonzero rational
+any_order_denominators = st.builds(
+    lambda c, s: TruncatedSeries([c, *s.coeffs[1:]], s.truncation),
+    nonzero_coefficients, any_order_series)
+any_order_exponents = any_order_series.map(
+    lambda s: TruncatedSeries([0, *s.coeffs[1:]], s.truncation))
+
+
+class TestNewtonKernels:
+    """divide, exp_series and log_series against the coefficient loops
+    they replaced (tests/oracles.py)."""
+
+    @given(any_order_series, any_order_denominators)
+    @example(TruncatedSeries.zero(7), ts(-3, 1, 2, N=7))
+    @example(ts("2/3", N=0), ts("-5/7", N=0))
+    @example(ts(1, 2, N=1), ts(-2, "1/3", N=1))
+    @example(ts(1, 0, 5, N=2), ts(3, -1, 1, N=2))
+    @example(ts(1, 2, 3, 4, 5, 6, 7, 8, 9, N=9), ts(7, 1, N=3))
+    @example(ts(4, -1, N=2), ts(-9, 1, 1, 1, 1, 1, 1, N=12))
+    def test_divide_matches_recurrence(self, num, den):
+        quot = divide(num, den)
+        assert quot == divide_by_recurrence(num, den)
+        assert quot.truncation == min(num.truncation, den.truncation)
+
+    @given(any_order_exponents)
+    @example(TruncatedSeries.zero(0))
+    @example(ts(0, "-7/2", N=1))
+    @example(ts(0, 3, "5/11", N=2))
+    def test_exp_and_log_match_recurrence(self, u):
+        e = exp_series(u)
+        assert e == exp_by_recurrence(u)
+        assert log_series(e) == u
+
+    @pytest.mark.parametrize("m1, m2", [(2, 5), (7, 8), (3, None)])
+    def test_schwarz_map_tall_rationals(self, m1, m2):
+        # D = G/F and exp(D): the tall rationals the mirror map is made of
+        params = HGParams.for_type(TriangleType(m1, m2))
+        g, f = series_g(params, 45), series_f(params, 45)
+        d = divide(g, f)
+        assert d == divide_by_recurrence(g, f)
+        assert divide(g.retruncate(30), f) == divide_by_recurrence(
+            g.retruncate(30), f)
+        assert divide(g, f.retruncate(17)) == d.retruncate(17)
+        e = exp_series(d)
+        assert e == exp_by_recurrence(d)
+        assert log_series(e) == d
+
+    @given(st.integers(min_value=-3, max_value=3), any_order_series,
+           st.integers(min_value=-3, max_value=3), any_order_denominators)
+    @example(-2, ts(1, -3, "1/2", N=4), -1, ts(5, 1, N=6))
+    @example(-1, ts(0, 0, 2, N=5), -3, ts("-1/4", 0, 3, N=3))
+    def test_laurent_division_with_poles(self, lo_num, num, lo_den, den):
+        x = LaurentSeries.from_truncated(num, lo_num)
+        y = LaurentSeries.from_truncated(den, lo_den)
+        expected = NaiveLaurent.of(x) * NaiveLaurent.of(y).inverse()
+        assert _shape(x / y) == expected.shape()
+        if not x.is_zero():
+            assert (x / y).body == divide_by_recurrence(x.body, y.body)
 
 
 class TestExpLog:
