@@ -3,9 +3,10 @@
 
 Times mul (F G), divide (D = G/F), exp (exp D), log (log exp D),
 compose (q(z(q)) for the mirror map q) and reversion (z(q)) on the
-hypergeometric series of each type, and the coefficient loops of
-tests/oracles.py beside divide and exp, so the order where Newton
-iteration starts to pay is on record.  Run from the repository root:
+hypergeometric series of each type in TYPES at each order in ORDERS,
+and the coefficient loops of tests/oracles.py beside divide and exp, so
+the order where Newton iteration starts to pay is on record.  Run from
+the repository root:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --out BENCH.json
 
@@ -36,6 +37,8 @@ from triforms.halphen import HGParams, TriangleType  # noqa: E402
 from triforms.hypergeom import series_f, series_g  # noqa: E402
 from triforms.rationals import RATIONAL_BACKEND, numden  # noqa: E402
 
+ORDERS = (30, 60, 120, 240)
+TYPES = (TriangleType(2, 5), TriangleType(3, 4), TriangleType(2, None))
 QUICK_S = 0.5
 QUICK_RUNS = 5
 
@@ -126,13 +129,7 @@ def bench(types, orders):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--orders", default="30,60,120,240",
-                        help="comma-separated orders N")
-    parser.add_argument("--types", default="2,5;3,4;2,inf",
-                        help="semicolon-separated types m1,m2")
     args = parser.parse_args(argv)
-    types = [TriangleType.parse(t) for t in args.types.split(";")]
-    orders = [int(n) for n in args.orders.split(",")]
     payload = {
         "backend": RATIONAL_BACKEND,
         "python": platform.python_version(),
@@ -142,7 +139,7 @@ def main(argv=None):
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in sorted((ROOT / "src" / "triforms")
                                          .glob("*.py"))),
-        "results": bench(types, orders),
+        "results": bench(TYPES, ORDERS),
     }
     Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
 

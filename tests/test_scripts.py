@@ -1,15 +1,15 @@
 """Smoke tests for the standalone scripts under scripts/."""
 
 import csv
+import importlib.util
 import io
-import json
 import os
-import platform
 import subprocess
 import sys
 from math import gcd
 from pathlib import Path
 
+from triforms import series
 from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
 from triforms.lab import (
@@ -41,17 +41,15 @@ def test_integrality_matrix_rows_match_library():
         assert row == ["" if x is None else str(x) for x in expected]
 
 
-def test_bench_kernels_smoke(tmp_path):
-    out = tmp_path / "bench.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_kernels.py"),
-         "--out", str(out), "--orders", "6,9", "--types", "2,5;2,inf"],
-        env=env, capture_output=True, text=True, check=True)
-    payload = json.loads(out.read_text())
-    assert payload["backend"] in ("fractions", "gmpy2")
-    assert payload["python"] == platform.python_version()
-    rows = payload["results"]
+def test_bench_kernels_smoke():
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", ROOT / "scripts" / "bench_kernels.py")
+    bench_kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_kernels)
+    original = series._common_denominator
+    rows = bench_kernels.bench([TriangleType(2, 5), TriangleType(2, None)],
+                               [6, 9])
+    assert series._common_denominator is original
     assert {(r["kernel"], r["impl"]) for r in rows} == {
         ("mul", "packed"), ("divide", "newton"), ("divide", "loop"),
         ("exp", "newton"), ("exp", "loop"), ("log", "newton"),
