@@ -135,14 +135,22 @@ def cmd_expand(args) -> int:
 
 def cmd_classify(args) -> int:
     tri = TriangleType.parse(args.type)
+    candidates = parse_primes(args.primes)
+    if args.N is not None and args.N < 1:
+        raise ValueError(f"--N must be at least 1, not {args.N}")
+    unit = None if args.N is None else mirror_map_unit(tri, args.N)
     rows = []
-    for p in parse_primes(args.primes):
+    for p in candidates:
         if gcd(p, tri.conductor) > 1:
             continue
         verdict = theorem_classifier(tri, p)
         entry = verdict.to_json()
         entry["belowTheoremRange"] = (
             verdict.verdict is Verdict.BELOW_THEOREM_RANGE)
+        if unit is not None:
+            profile = empirical_integrality(tri, p, unit)
+            entry.update(N=args.N, firstNegativeIndex=profile.first_failure,
+                         minValuation=profile.min_valuation)
         rows.append(entry)
     payload = {"command": "classify", "type": str(tri), "results": rows}
     emit(payload, args.format, rows=rows)
@@ -210,7 +218,7 @@ def _verify_cells(args):
         for t in types:
             for p in _primes_for(t, primes):
                 verdict = theorem_classifier(t, p)
-                cond, _ = dwork_set_condition(HGParams.for_type(t), p)
+                cond = dwork_set_condition(HGParams.for_type(t), p)
                 if verdict.verdict is Verdict.BELOW_THEOREM_RANGE:
                     agree = verdict.conjectural_integral == cond
                 else:
@@ -298,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--primes", required=True,
                             help="a prime or an inclusive range lo..hi")
     p_classify.add_argument("--format", choices=["json", "csv"], default="json")
+    p_classify.add_argument("--N", type=int, default=None,
+                            help="also profile the mirror map to this order")
     p_classify.set_defaults(func=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -54,23 +54,13 @@ def dwork_images(params: HGParams, p: int) -> HGParams:
     return HGParams(max(da, db), min(da, db), params.triangle)
 
 
-class SetAlternative(Enum):
-    PLAIN = "plain"        # {delta(a), delta(b)} = {a, b}
-    COMPLEMENT = "complement"  # {delta(a), delta(b)} = {1-a, 1-b}
-
-
-def dwork_set_condition(params: HGParams,
-                        p: int) -> Tuple[bool, Optional[SetAlternative]]:
+def dwork_set_condition(params: HGParams, p: int) -> bool:
     """The sufficient-condition set equality for p-integrality of the
     mirror map: {delta_p(a), delta_p(b)} equals {a, b} or {1-a, 1-b}."""
     require_coprime(params.triangle, p)
     twisted = dwork_images(params, p)
     got = {twisted.a, twisted.b}
-    if got == {params.a, params.b}:
-        return True, SetAlternative.PLAIN
-    if got == {1 - params.a, 1 - params.b}:
-        return True, SetAlternative.COMPLEMENT
-    return False, None
+    return got == {params.a, params.b} or got == {1 - params.a, 1 - params.b}
 
 
 class Verdict(Enum):

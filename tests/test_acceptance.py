@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one reported line each.
+"""Acceptance gate: eleven end-to-end criteria, one reported line each.
 
 Every criterion is exact (no floating point anywhere in the package);
 the two timed criteria also assert their runtime budgets.
@@ -28,9 +28,11 @@ from triforms.halphen import (
 )
 from triforms.hypergeom import schwarz_map
 from triforms.lab import (
+    checked_generators,
     cross_route_consistency,
     dwork_congruence_check,
     empirical_integrality,
+    generator_integrality,
     generators_via_j,
     mirror_map_unit,
     schwarz_congruence_check,
@@ -104,7 +106,7 @@ def test_criterion_04_classifier_equivalence(capsys):
             if gcd(p, tri.conductor) > 1:
                 continue
             verdict = theorem_classifier(tri, p)
-            cond, _ = dwork_set_condition(params, p)
+            cond = dwork_set_condition(params, p)
             ok = ok and verdict.verdict is not Verdict.BELOW_THEOREM_RANGE
             ok = ok and (verdict.verdict is Verdict.INTEGRAL) == cond
             cells += 1
@@ -221,3 +223,35 @@ def test_criterion_10_structural_identities(capsys):
     _report(capsys, 10,
             "Euler identity (order 50), E4/E6 Hauptmodul identity and "
             "generator formulas (order 30), Halphen residuals zero", ok)
+
+
+def test_criterion_11_generator_integrality(capsys):
+    # The modular-forms half of the theorem: above the conductor every
+    # generator E^(i)_2k is p-integral through 2p + 20 exactly when the
+    # classifier says INTEGRAL, and the earliest generator failure sits
+    # at the mirror map's first negative index.
+    ok, cells, indexed = True, 0, 0
+    for tri in (TriangleType(2, 5), TriangleType(3, 4), TriangleType(2, 7),
+                TriangleType(3, None)):
+        coprime = [p for p in primes(tri.conductor + 1, 49)
+                   if gcd(p, tri.conductor) == 1]
+        top = 2 * coprime[-1] + 20
+        generators = checked_generators(tri, top)
+        unit = mirror_map_unit(tri, top)
+        ok = ok and min(s.truncation for _, s in generators) >= top
+        for p in coprime:
+            window = 2 * p + 20
+            profiles = generator_integrality(
+                tri, p, [(lbl, s.retruncate(window)) for lbl, s in generators])
+            failures = [v.first_failure for _, v in profiles
+                        if not v.holds()]
+            integral = theorem_classifier(tri, p).verdict is Verdict.INTEGRAL
+            mirror = empirical_integrality(tri, p, unit.retruncate(window))
+            ok = ok and (not failures) == integral
+            ok = ok and min(failures, default=None) == mirror.first_failure
+            cells += 1
+            indexed += bool(failures)
+    _report(capsys, 11,
+            f"generators p-integral through 2p + 20 iff classifier INTEGRAL, "
+            f"first failing index == mirror map's, on {cells} cells "
+            f"({indexed} non-integral)", ok and indexed > 0)

@@ -1,9 +1,18 @@
+import csv
 import importlib
+import io
 import json
+from math import gcd
 
 import pytest
 
-from triforms.cli import main, parse_primes
+from triforms.cli import CSV_COLUMNS, main, parse_primes
+from triforms.dwork import theorem_classifier
+from triforms.halphen import TriangleType
+from triforms.lab import empirical_integrality, mirror_map_unit
+from triforms.rationals import primes
+
+PROFILE_KEYS = {"N", "firstNegativeIndex", "minValuation"}
 
 
 def run(capsys, *argv):
@@ -115,6 +124,8 @@ class TestClassify:
         assert by_p[29]["verdict"] == "integral"
         assert by_p[23]["verdict"] == "nonIntegral"
         assert not by_p[29]["belowTheoremRange"]
+        # without --N no row carries a mirror-map profile
+        assert all(not PROFILE_KEYS & set(r) for r in payload["results"])
 
     def test_skips_conductor_primes(self, capsys):
         _, out, _ = run(capsys, "classify", "--type", "2,5",
@@ -136,6 +147,37 @@ class TestClassify:
         lines = out.strip().splitlines()
         assert lines[0] == "type,p,N,verdict,firstNegativeIndex,minValuation"
         assert len(lines) == 1 + 4  # 5, 7, 11, 13
+        # without --N the profile columns stay empty
+        for row in csv.DictReader(io.StringIO(out)):
+            assert [row[k] for k in PROFILE_KEYS] == ["", "", ""]
+
+    def test_order_adds_mirror_map_profile(self, capsys):
+        # each row carries the exact profile of q(a,b|z) through z^(N+1)
+        tri = TriangleType(2, 5)
+        unit = mirror_map_unit(tri, 60)
+        argv = ["classify", "--type", "2,5", "--primes", "2..31", "--N", "60"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == CSV_COLUMNS
+        assert [int(r[1]) for r in rows] == [
+            p for p in primes(2, 31) if gcd(p, tri.conductor) == 1]
+        profiles = {}
+        for row in rows:
+            p = int(row[1])
+            v = profiles[p] = empirical_integrality(tri, p, unit)
+            expected = [str(tri), p, 60,
+                        theorem_classifier(tri, p).verdict.value,
+                        v.first_failure, v.min_valuation]
+            assert row == ["" if x is None else str(x) for x in expected]
+        assert {v.holds() for v in profiles.values()} == {True, False}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        for r in json.loads(out)["results"]:
+            v = profiles[r["p"]]
+            assert {k: r[k] for k in PROFILE_KEYS} == {
+                "N": 60, "firstNegativeIndex": v.first_failure,
+                "minValuation": v.min_valuation}
 
     def test_range_without_primes_is_usage_error(self, capsys):
         code, out, err = run(capsys, "classify", "--type", "2,5",
@@ -238,13 +280,14 @@ class TestVerify:
         assert f"does not read {unread}" in err
 
     @pytest.mark.parametrize("argv", [
-        ["--suite", "schwarz", "--type", "2,5", "--primes", "11"],
-        ["--suite", "dieudonne"],
+        ["verify", "--suite", "schwarz", "--type", "2,5", "--primes", "11"],
+        ["verify", "--suite", "dieudonne"],
+        ["classify", "--type", "2,5", "--primes", "11"],
     ])
     @pytest.mark.parametrize("order", ["0", "-3"])
     def test_empty_window_is_usage_error(self, capsys, argv, order):
         # an order below 1 checks no coefficient past the leading one
-        code, out, err = run(capsys, "verify", *argv, "--N", order)
+        code, out, err = run(capsys, *argv, "--N", order)
         assert code == 2
         assert out == ""
         assert f"--N must be at least 1, not {order}" in err

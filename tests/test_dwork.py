@@ -8,7 +8,6 @@ from triforms import dwork
 from triforms.dwork import (
     Branch,
     IntegralityVerdict,
-    SetAlternative,
     Verdict,
     almost_integral,
     dwork_map,
@@ -90,8 +89,7 @@ class TestDworkMap:
 class TestSetCondition:
     def test_2_3_at_5_plain(self):
         params = HGParams.for_type(TriangleType(2, 3))
-        ok, alt = dwork_set_condition(params, 5)
-        assert ok and alt is SetAlternative.PLAIN
+        assert dwork_set_condition(params, 5)
 
     def test_2_5_at_13_fails(self):
         # a = 7/20, b = 3/20; 13^{-1} = 17 mod 20, 17*7 = 119 = 19 mod 20,
@@ -100,16 +98,15 @@ class TestSetCondition:
         assert (params.a, params.b) == (QQ(7, 20), QQ(3, 20))
         assert pow(13, -1, 20) == 17
         assert dwork_map(QQ(7, 20), 13) == QQ(19, 20)
-        ok, alt = dwork_set_condition(params, 13)
-        assert not ok and alt is None
+        assert not dwork_set_condition(params, 13)
 
     def test_cusp_double_degenerate_set(self):
         # (m, inf): a = b, condition reduces to delta(a) in {a, 1-a}
         params = HGParams.for_type(TriangleType(3, None))
         for p in (5, 7, 11, 13):
-            ok, _ = dwork_set_condition(params, p)
             da = dwork_map(params.a, p)
-            assert ok == (da in (params.a, 1 - params.a))
+            assert dwork_set_condition(params, p) == (
+                da in (params.a, 1 - params.a))
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
