@@ -81,15 +81,15 @@ def parse_primes(spec: str):
     return [p]
 
 
-def emit(payload, fmt: str = "json", rows=None):
-    """Print canonical JSON, or for fmt 'csv' the rows as a CSV table."""
+def emit(payload, fmt: str = "json"):
+    """Print canonical JSON, or for fmt 'csv' payload["results"] as CSV."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
+        for row in payload["results"]:
             writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
         sys.stdout.write(out.getvalue())
 
@@ -126,6 +126,8 @@ def _series_catalog(tri: TriangleType, name: str, n_order: int):
 
 def cmd_expand(args) -> int:
     tri = TriangleType.parse(args.type)
+    if args.N < 0:
+        raise ValueError(f"--N must be at least 0, not {args.N}")
     data = _series_catalog(tri, args.series, args.N)
     payload = {"command": "expand", "type": str(tri), "series": args.series,
                "N": args.N, "result": data}
@@ -153,7 +155,7 @@ def cmd_classify(args) -> int:
                          minValuation=profile.min_valuation)
         rows.append(entry)
     payload = {"command": "classify", "type": str(tri), "results": rows}
-    emit(payload, args.format, rows=rows)
+    emit(payload, args.format)
     return 0
 
 
@@ -202,8 +204,8 @@ def _verify_cells(args):
                     lbl: Classification.of(v).value for lbl, v in cells}
     elif suite == "lemma2":
         for p in primes or [5, 7]:
-            ok, counter = lemma_two_check(p)
-            yield f"lemma2 p={p}", ok, {"counterexamples": len(counter)}
+            counter = lemma_two_check(p)
+            yield f"lemma2 p={p}", not counter, {"counterexamples": len(counter)}
     elif suite == "dieudonne":
         u = log_series(TruncatedSeries([1, 1], n_order))
         for p in primes or [5, 7]:
@@ -218,7 +220,7 @@ def _verify_cells(args):
         for t in types:
             for p in _primes_for(t, primes):
                 verdict = theorem_classifier(t, p)
-                cond = dwork_set_condition(HGParams.for_type(t), p)
+                cond = dwork_set_condition(t, p)
                 if verdict.verdict is Verdict.BELOW_THEOREM_RANGE:
                     agree = verdict.conjectural_integral == cond
                 else:

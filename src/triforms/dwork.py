@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .errors import InvariantViolation, PrimeDividesDenominator, SharedFactor
 from .halphen import HGParams, TriangleType
@@ -48,16 +48,18 @@ def dwork_map(x, p: int):
 
 
 def dwork_images(params: HGParams, p: int) -> HGParams:
-    """The twisted parameters (delta_p(a), delta_p(b)), larger first."""
+    """The twisted pair (delta_p(a), delta_p(b)), larger first."""
     da = dwork_map(params.a, p)
     db = dwork_map(params.b, p)
-    return HGParams(max(da, db), min(da, db), params.triangle)
+    return HGParams(max(da, db), min(da, db))
 
 
-def dwork_set_condition(params: HGParams, p: int) -> bool:
+def dwork_set_condition(tri: TriangleType, p: int) -> bool:
     """The sufficient-condition set equality for p-integrality of the
-    mirror map: {delta_p(a), delta_p(b)} equals {a, b} or {1-a, 1-b}."""
-    require_coprime(params.triangle, p)
+    mirror map of tri: for its pair (a, b), {delta_p(a), delta_p(b)}
+    equals {a, b} or {1-a, 1-b}."""
+    require_coprime(tri, p)
+    params = HGParams.for_type(tri)
     twisted = dwork_images(params, p)
     got = {twisted.a, twisted.b}
     return got == {params.a, params.b} or got == {1 - params.a, 1 - params.b}
@@ -202,11 +204,11 @@ def takeuchi_scan(bound: int) -> List[TriangleType]:
     return found
 
 
-def lemma_two_check(p: int) -> Tuple[bool, List[tuple]]:
+def lemma_two_check(p: int) -> List[tuple]:
     """Brute-force the degree-1/degree-2 Schwarz coefficient criterion
     over F_p: C1 = sigma - 2 tau and 4 C2 = sigma^2 - 5 sigma tau
     + 5 tau^2 + sigma - tau agree for (a1,b1) and (a2,b2) iff
-    {a2,b2} = {a1,b1} or {1-a1,1-b1}.  Returns (holds, counterexamples).
+    {a2,b2} = {a1,b1} or {1-a1,1-b1}.  Returns the counterexamples.
     """
     if p <= 2:
         raise ValueError("need an odd prime")
@@ -230,4 +232,4 @@ def lemma_two_check(p: int) -> Tuple[bool, List[tuple]]:
                     expected = {a2, b2} in (base, comp)
                     if equal != expected:
                         counterexamples.append((a1, b1, a2, b2))
-    return not counterexamples, counterexamples
+    return counterexamples

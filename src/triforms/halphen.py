@@ -79,13 +79,12 @@ class TriangleType:
 
 @dataclass(frozen=True)
 class HGParams:
-    """Parameters of a triangle type, shared by the Halphen system and
-    the hypergeometric route: a = (1 - 1/m1 + 1/m2)/2 and
-    b = (1 - 1/m1 - 1/m2)/2; the Halphen system's third is c = 1 - a."""
+    """A hypergeometric pair (a, b).  for_type gives a triangle type's
+    pair a = (1 - 1/m1 + 1/m2)/2, b = (1 - 1/m1 - 1/m2)/2, and the
+    Halphen system's third is c = 1 - a."""
 
     a: object
     b: object
-    triangle: TriangleType
 
     @classmethod
     def for_type(cls, tri: TriangleType) -> "HGParams":
@@ -100,7 +99,7 @@ class HGParams:
         if not (1 - a - b == inv1 and 1 - b - c == inv2):
             raise InvariantViolation(f"parameters {a}, {b} for {tri} "
                                      "break the defining relations")
-        return cls(a, b, tri)
+        return cls(a, b)
 
     def __post_init__(self):
         # strict ordering 0 < b <= a < 1, equality only for m2 = inf

@@ -107,11 +107,11 @@ def dieudonne_check(u: TruncatedSeries, p: int
                     ) -> Tuple[ValuationProfile, ValuationProfile]:
     """Both sides of the additive Dieudonne-Dwork equivalence, exactly
     to order u.truncation: the integrality profile of exp(u), and the
-    mod-p profile of exp(u(z^p) - p u(z)) - 1.  The equivalence holds
-    when both profiles hold or neither does."""
-    twisted = exp_series(substitute_power(u, p) - p * u)
+    mod-p profile of u(z^p) - p u(z), which first fails where that of
+    exp(u(z^p) - p u(z)) - 1 does.  The equivalence holds when both
+    profiles hold or neither does."""
     return (valuation_profile(exp_series(u), p),
-            valuation_profile(twisted - 1, p, bound=1))
+            valuation_profile(substitute_power(u, p) - p * u, p, bound=1))
 
 
 def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
@@ -130,14 +130,12 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
     if top < n_order:
         raise OrderShortfall(
             f"cross-route {tri}: the routes reach q^{top}, not q^{n_order}")
-    for e in range(-1, n_order + 1):
-        lhs, rhs = j_halphen.coefficient(e), j_hyper.coefficient(e)
-        if lhs != rhs:
-            raise RouteMismatch(e, lhs, rhs)
+    e = j_halphen.agrees_with(j_hyper)
+    if e is not None:
+        raise RouteMismatch(e, j_halphen.coefficient(e), j_hyper.coefficient(e))
 
 
-def generators_via_j(tri: TriangleType, kind: int, k: int,
-                     j: LaurentSeries) -> LaurentSeries:
+def generators_via_j(kind: int, k: int, j: LaurentSeries) -> LaurentSeries:
     """E^{(1)}_{2k} = ((J-1)/J) (Jdot/(J-1))^k;
     E^{(2)}_{2k} = (Jdot/J)^k (J/(J-1)), with Jdot = -theta(J): with the
     q-orientation fixed by t3_1 - t1_1 = kappa > 0 in the Halphen
@@ -151,24 +149,22 @@ def generators_via_j(tri: TriangleType, kind: int, k: int,
 
 def checked_generators(tri: TriangleType, n_order: int
                        ) -> List[Tuple[str, TruncatedSeries]]:
-    """Every generator in the algebra lists, labelled, to order n_order
-    (or its own, if shorter).  Each is computed both as a t-product and
-    by the J-derivative formula; the two must agree exactly."""
+    """Every generator in the algebra lists, labelled, to order n_order.
+    Each is computed both as a t-product and by the J-derivative
+    formula; the two must agree exactly."""
     sol = solve_halphen(tri, n_order + 2)
     j = hauptmodul_from_halphen(sol)
     generators = []
     for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
         for k in generator_range(tri, kind):
             series = builder(k, sol)
-            alt = generators_via_j(tri, kind, k, j)
+            alt = generators_via_j(kind, k, j)
             mismatch = alt.agrees_with(LaurentSeries.from_truncated(series))
             if mismatch is not None:
                 raise FormulaMismatch(
                     f"E^({kind})_{2 * k} for {tri}: t-product and "
                     f"J-formula differ at q^{mismatch}")
-            generators.append((
-                f"E{kind}_{2 * k}",
-                series.retruncate(min(n_order, series.truncation))))
+            generators.append((f"E{kind}_{2 * k}", series.retruncate(n_order)))
     return generators
 
 

@@ -383,10 +383,8 @@ class LaurentSeries:
 
     __slots__ = ("lowest_exponent", "body", "truncation")
 
-    def __init__(self, lowest_exponent: int, coeffs, truncation: Optional[int] = None):
+    def __init__(self, lowest_exponent: int, coeffs, truncation: int):
         coeffs = list(coeffs)
-        if truncation is None:
-            truncation = lowest_exponent + len(coeffs) - 1
         width = truncation - lowest_exponent + 1
         if width < 0:
             raise ValueError("truncation below lowest exponent")

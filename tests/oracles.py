@@ -62,7 +62,7 @@ def binomial_series(alpha, n_order: int) -> TruncatedSeries:
 def complement(params: HGParams) -> HGParams:
     """Parameters (1-b, 1-a) for the Euler-identity partner (ordered so
     the constructor's 0 < b <= a < 1 check passes)."""
-    return HGParams(1 - params.b, 1 - params.a, params.triangle)
+    return HGParams(1 - params.b, 1 - params.a)
 
 
 def euler_identity_check(params: HGParams, n_order: int) -> Tuple[bool, Optional[int]]:

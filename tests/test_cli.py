@@ -106,6 +106,14 @@ class TestExpand:
         assert out == ""
         assert "nonzero linear coefficient" in err
 
+    @pytest.mark.parametrize("series", ["J", "t1", "qmap"])
+    def test_negative_order_is_usage_error(self, capsys, series):
+        code, out, err = run(capsys, "expand", "--type", "2,3",
+                             "--series", series, "--N", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--N must be at least 0, not -1" in err
+
     def test_deterministic_json(self, capsys):
         _, out1, _ = run(capsys, "expand", "--type", "3,4",
                          "--series", "D", "--N", "10")

@@ -88,29 +88,30 @@ class TestDworkMap:
 
 class TestSetCondition:
     def test_2_3_at_5_plain(self):
-        params = HGParams.for_type(TriangleType(2, 3))
-        assert dwork_set_condition(params, 5)
+        assert dwork_set_condition(TriangleType(2, 3), 5)
 
     def test_2_5_at_13_fails(self):
         # a = 7/20, b = 3/20; 13^{-1} = 17 mod 20, 17*7 = 119 = 19 mod 20,
         # and 19/20 is outside {a, b, 1-a, 1-b}
-        params = HGParams.for_type(TriangleType(2, 5))
+        tri = TriangleType(2, 5)
+        params = HGParams.for_type(tri)
         assert (params.a, params.b) == (QQ(7, 20), QQ(3, 20))
         assert pow(13, -1, 20) == 17
         assert dwork_map(QQ(7, 20), 13) == QQ(19, 20)
-        assert not dwork_set_condition(params, 13)
+        assert not dwork_set_condition(tri, 13)
 
     def test_cusp_double_degenerate_set(self):
         # (m, inf): a = b, condition reduces to delta(a) in {a, 1-a}
-        params = HGParams.for_type(TriangleType(3, None))
+        tri = TriangleType(3, None)
+        params = HGParams.for_type(tri)
         for p in (5, 7, 11, 13):
             da = dwork_map(params.a, p)
-            assert dwork_set_condition(params, p) == (
+            assert dwork_set_condition(tri, p) == (
                 da in (params.a, 1 - params.a))
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            dwork_set_condition(HGParams.for_type(TriangleType(2, 3)), 3)
+            dwork_set_condition(TriangleType(2, 3), 3)
 
 
 class TestTheoremClassifier:
@@ -221,8 +222,7 @@ class TestTakeuchiScan:
 class TestLemmaTwo:
     def test_exhaustive_small_primes(self):
         for p in (5, 7):
-            ok, counter = lemma_two_check(p)
-            assert ok and not counter
+            assert lemma_two_check(p) == []
 
     def test_complement_c1_invariance(self):
         # algebraic identity: (2-sigma) - 2(1-sigma+tau) = sigma - 2 tau;

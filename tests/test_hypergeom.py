@@ -41,7 +41,7 @@ class TestParams:
 
     def test_ordering_invariant(self):
         with pytest.raises(ValueError):
-            HGParams(QQ(1, 12), QQ(5, 12), TRI23)
+            HGParams(QQ(1, 12), QQ(5, 12))
 
 
 class TestSeriesF:

@@ -27,8 +27,10 @@ from triforms.rationals import QQ
 from triforms.series import (
     LaurentSeries,
     TruncatedSeries,
+    exp_series,
     log_series,
     reversion,
+    substitute_power,
     valuation_profile,
 )
 
@@ -130,7 +132,7 @@ class TestSchwarzCongruence:
         assert dwork_congruence_check(TRI25, 41, base).holds()
         assert built == []
         assert not schwarz_congruence_check(TRI25, 13, base).holds()
-        assert built == [HGParams(QQ(19, 20), QQ(11, 20), TRI25)]
+        assert built == [HGParams(QQ(19, 20), QQ(11, 20))]
 
     def test_biconditional_with_empirical(self):
         base = base_map(TRI25, 50)
@@ -162,6 +164,18 @@ class TestDieudonne:
         # u = D(a,b|z) for an integral prime: both predicates true
         exp_side, cong_side = dieudonne_check(base_map(TRI25, 40), 11)
         assert exp_side.holds() and cong_side.holds()
+
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(-1, 1)),
+                    max_size=8))
+    def test_additive_form_fails_where_exp_form_does(self, p, terms):
+        # w = u(z^p) - p u(z) fails mod p at the same first index as
+        # exp(w) - 1; u's coefficients c p^k mix valuations -1, 0 and 1
+        u = TruncatedSeries([QQ(0)] + [c * QQ(p) ** k for c, k in terms], 8)
+        w = substitute_power(u, p) - p * u
+        _, additive = dieudonne_check(u, p)
+        exp_form = valuation_profile(exp_series(w) - 1, p, bound=1)
+        assert additive.first_failure == exp_form.first_failure
 
 
 class TestCrossRoute:

@@ -43,3 +43,23 @@ def test_every_top_level_name_is_used():
     assert defined
     assert sorted(f"{path}:{name}" for name, path in defined.items()
                   if name not in used) == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is dead surface that
+    # every caller still has to pass; dunder methods keep the
+    # signature their protocol fixes (__setattr__(self, name, value))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (not isinstance(fn, ast.FunctionDef)
+                    or fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            params = [a.arg for a in ast.walk(fn.args)
+                      if isinstance(a, ast.arg)]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.name}:{name}"
+                       for name in params if name not in read]
+    assert unread == []
