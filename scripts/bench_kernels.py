@@ -5,16 +5,20 @@ Times mul (F G), divide (D = G/F), exp (exp D), log (log exp D),
 compose (q(z(q)) for the mirror map q) and reversion (z(q)) on the
 hypergeometric series of each type in TYPES at each order in ORDERS,
 and the coefficient loops of tests/oracles.py beside divide and exp, so
-the order where Newton iteration starts to pay is on record.  Run from
-the repository root:
+the order where Newton iteration starts to pay is on record.  It also
+times the Halphen solve of each type to each order, on integer
+numerators over one denominator and as the reduced-rational loop of
+tests/oracles.py; neither runs a packed product.  Run from the
+repository root:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --out BENCH.json
 
 Each kernel is first run once untimed with series._common_denominator
 wrapped, to record the coefficient heights: the largest bits of any
-numerator and denominator of the result, and the largest common
-denominator any packed product cleared its operands to (with its excess
-over the largest single denominator of that operand).  It is then
+numerator and denominator of the result (of t1, t2 and t3 together for
+a solve), and the largest common denominator any packed product
+cleared its operands to (with its excess over the largest single
+denominator of that operand).  It is then
 timed unwrapped, once, or five times keeping the fastest when one run
 takes under half a second.  The JSON also records the rational backend,
 the Python version, the platform and the src/ line count.
@@ -31,9 +35,11 @@ from time import process_time
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from oracles import divide_by_recurrence, exp_by_recurrence  # noqa: E402
+from oracles import (  # noqa: E402
+    divide_by_recurrence, exp_by_recurrence, solve_halphen_by_fractions)
 from triforms import series  # noqa: E402
-from triforms.halphen import HGParams, TriangleType  # noqa: E402
+from triforms.halphen import (  # noqa: E402
+    HalphenSolution, HGParams, TriangleType, solve_halphen)
 from triforms.hypergeom import series_f, series_g  # noqa: E402
 from triforms.rationals import RATIONAL_BACKEND, numden  # noqa: E402
 
@@ -66,8 +72,10 @@ class Heights:
         series._common_denominator = self._original
 
 
-def max_bits(s):
-    pairs = [numden(c) for c in s.coeffs]
+def max_bits(result):
+    parts = ((result.t1, result.t2, result.t3)
+             if isinstance(result, HalphenSolution) else (result,))
+    pairs = [numden(c) for s in parts for c in s.coeffs]
     return (max(abs(n).bit_length() for n, _ in pairs),
             max(d.bit_length() for _, d in pairs))
 
@@ -103,6 +111,8 @@ def kernels(tri, n):
         ("log", "newton", lambda: series.log_series(unit)),
         ("compose", "horner", lambda: series.compose(q, z)),
         ("reversion", "newton", lambda: series.reversion(q)),
+        ("halphen", "integer", lambda: solve_halphen(tri, n)),
+        ("halphen", "loop", lambda: solve_halphen_by_fractions(tri, n)),
     ]
 
 
@@ -121,7 +131,7 @@ def bench(types, orders):
                     "common_den_bits": heights.common_bits,
                     "common_den_excess_bits": heights.excess_bits,
                 })
-                print(f"{kernel:9} {impl:6} {tri} N={n:<4} "
+                print(f"{kernel:9} {impl:7} {tri} N={n:<4} "
                       f"{seconds:9.4f} s", file=sys.stderr)
     return results
 

@@ -14,15 +14,25 @@ linear system per order.  At order 1 it is rank-deficient; the free
 scale is fixed by t3_1 - t1_1 = kappa, the q-scaling of the
 hypergeometric route.  At every order n >= 2 the t1/t3 block has
 determinant n(n-1) and is solved by Cramer's rule.
+
+During the solve t1, t2 and t3 are integer numerators over one common
+denominator d, so the convolutions that feed each order are integer
+dot products and only the three new coefficients are reduced
+rationals.  That is cheap while d stays near the largest single
+denominator: within a bit for most types, and at most 12 % taller over
+every type with m1, m2 <= 12 at N = 40 and 102.  The reduced series are
+built once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .errors import DegenerateDenominator, InvariantViolation
-from .rationals import QQ, ZERO
+from .rationals import QQ, ZERO, numden
 from .series import LaurentSeries, TruncatedSeries
 
 INFINITY = None  # m2 = infinity marker
@@ -122,44 +132,65 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     and t2_1 = (1-b)(t1_1 + t3_1), leaves one scale free; it is fixed by
     t3_1 - t1_1 = kappa, so that the Halphen J matches the
     hypergeometric route.
+
+    The coefficients found so far are held as integer numerators over
+    one common denominator d, so each order's five convolutions are
+    integer dot products over d^2, and only the three new coefficients
+    are formed as reduced rationals; d then grows to the lcm of itself
+    and their denominators.  This is cheap because d stays near the
+    largest single denominator (see the module docstring).
     """
     if n_order < 2:
         raise ValueError("need n_order >= 2")
     params = HGParams.for_type(tri)
     a, b, c = params.a, params.b, 1 - params.a
     kappa = tri.kappa
-    # coefficients of q^0 and q^1
-    t1 = [ZERO, (a - 1) * kappa]
-    t2 = [QQ(-1), (1 - b) * (2 * a - 1) * kappa]
-    t3 = [ZERO, a * kappa]
+    # coefficients found so far, as integer numerators over d
+    d, t1, t2, t3 = 1, [0], [-1], [0]
+
+    def append(*coeffs):
+        """Append one coefficient to each of t1, t2, t3, first growing d
+        to the lcm of itself and their denominators."""
+        nonlocal d
+        new = [numden(x) for x in coeffs]
+        grown = lcm(d, *(den for _, den in new))
+        if grown != d:
+            for t in (t1, t2, t3):
+                t[:] = [x * (grown // d) for x in t]
+            d = grown
+        for t, (num, den) in zip((t1, t2, t3), new):
+            t.append(num * (d // den))
+
+    append((a - 1) * kappa, (1 - b) * (2 * a - 1) * kappa, a * kappa)
 
     def conv(x, y, n):
-        """q^n coefficient of x*y over the orders 1..n-1."""
-        return sum((x[k] * y[n - k] for k in range(1, n)), ZERO)
+        """d^2 times the q^n coefficient of x*y over the orders 1..n-1."""
+        return sum(map(mul, x[1:n], y[n - 1:0:-1]))
 
     for n in range(2, n_order + 1):
         # known right-hand sides from lower orders; the t2^2 term drops
         # out because a + c - 1 = 0
         p11, p33 = conv(t1, t1, n), conv(t3, t3, n)
         p12, p13, p23 = conv(t1, t2, n), conv(t1, t3, n), conv(t2, t3, n)
-        k1 = (a - 1) * (p12 + p13 - p23) + (b + c - 1) * p11
-        k2 = (b - 1) * (p12 + p23 - p13)
-        k3 = (c - 1) * (p13 + p23 - p12) + (a + b - 1) * p33
+        d2 = d * d
+        k1 = ((a - 1) * QQ(p12 + p13 - p23, d2)
+              + (b + c - 1) * QQ(p11, d2))
+        k2 = (b - 1) * QQ(p12 + p23 - p13, d2)
+        k3 = ((c - 1) * QQ(p13 + p23 - p12, d2)
+              + (a + b - 1) * QQ(p33, d2))
         # the order-n unknowns pair with t2_0 = -1:
         #   (n+a-1) x1 - (a-1) x3 = k1,  -(c-1) x1 + (n+c-1) x3 = k3,
         #   n x2 + (b-1)(x1 + x3) = k2;  the x1/x3 block has det n(n-1)
         det = n * (n - 1)
         x1 = ((n + c - 1) * k1 + (a - 1) * k3) / det
         x3 = ((c - 1) * k1 + (n + a - 1) * k3) / det
-        t1.append(x1)
-        t2.append((k2 - (b - 1) * (x1 + x3)) / n)
-        t3.append(x3)
+        append(x1, (k2 - (b - 1) * (x1 + x3)) / n, x3)
 
     return HalphenSolution(
         triangle=tri,
-        t1=TruncatedSeries(t1, n_order),
-        t2=TruncatedSeries(t2, n_order),
-        t3=TruncatedSeries(t3, n_order),
+        t1=TruncatedSeries([QQ(x, d) for x in t1], n_order),
+        t2=TruncatedSeries([QQ(x, d) for x in t2], n_order),
+        t3=TruncatedSeries([QQ(x, d) for x in t3], n_order),
     )
 
 

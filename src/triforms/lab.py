@@ -135,36 +135,53 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
         raise RouteMismatch(e, j_halphen.coefficient(e), j_hyper.coefficient(e))
 
 
-def generators_via_j(kind: int, k: int, j: LaurentSeries) -> LaurentSeries:
-    """E^{(1)}_{2k} = ((J-1)/J) (Jdot/(J-1))^k;
-    E^{(2)}_{2k} = (Jdot/J)^k (J/(J-1)), with Jdot = -theta(J): with the
-    q-orientation fixed by t3_1 - t1_1 = kappa > 0 in the Halphen
-    solution, the t-difference identities hold with that global minus
-    sign (validated exactly in the suite)."""
+def generators_via_j(kind: int, ks: range, j: LaurentSeries
+                     ) -> List[LaurentSeries]:
+    """E^{(1)}_{2k} = ((J-1)/J) (Jdot/(J-1))^k and
+    E^{(2)}_{2k} = (Jdot/J)^k (J/(J-1)) for each k in the ascending
+    range ks, with Jdot = -theta(J): with the q-orientation fixed by
+    t3_1 - t1_1 = kappa > 0 in the Halphen solution, the t-difference
+    identities hold with that global minus sign (validated exactly in
+    the suite).  The ratio and the factor are formed once, and each
+    power is the previous one times the ratio."""
+    if not ks:
+        return []
     jdot = -1 * j.theta()
     if kind == 1:
-        return (j - 1) / j * (jdot / (j - 1)) ** k
-    return (jdot / j) ** k * (j / (j - 1))
+        ratio, factor = jdot / (j - 1), (j - 1) / j
+    else:
+        ratio, factor = jdot / j, j / (j - 1)
+    powers = [ratio ** ks[0]]
+    for _ in ks[1:]:
+        powers.append(powers[-1] * ratio)
+    return [factor * power for power in powers]
 
 
 def checked_generators(tri: TriangleType, n_order: int
                        ) -> List[Tuple[str, TruncatedSeries]]:
     """Every generator in the algebra lists, labelled, to order n_order.
     Each is computed both as a t-product and by the J-derivative
-    formula; the two must agree exactly."""
+    formula; the two must agree exactly through q^n_order, and a
+    shorter common window raises OrderShortfall."""
     sol = solve_halphen(tri, n_order + 2)
     j = hauptmodul_from_halphen(sol)
     generators = []
     for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
-        for k in generator_range(tri, kind):
+        ks = generator_range(tri, kind)
+        for k, alt in zip(ks, generators_via_j(kind, ks, j)):
             series = builder(k, sol)
-            alt = generators_via_j(kind, k, j)
+            label = f"E{kind}_{2 * k}"
+            top = min(alt.truncation, series.truncation)
+            if top < n_order:
+                raise OrderShortfall(
+                    f"{label} for {tri}: the two formulas reach "
+                    f"q^{top}, not q^{n_order}")
             mismatch = alt.agrees_with(LaurentSeries.from_truncated(series))
             if mismatch is not None:
                 raise FormulaMismatch(
                     f"E^({kind})_{2 * k} for {tri}: t-product and "
                     f"J-formula differ at q^{mismatch}")
-            generators.append((f"E{kind}_{2 * k}", series.retruncate(n_order)))
+            generators.append((label, series.retruncate(n_order)))
     return generators
 
 

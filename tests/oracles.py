@@ -2,12 +2,12 @@
 the suite checks its series against (the Euler reflection identity,
 the hypergeometric operator, the Halphen equations), and the O(N^2)
 coefficient loops that the Newton kernels of divide and exp_series
-replaced."""
+and the integer Halphen solve replaced."""
 
 from typing import Optional, Tuple
 
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
-from triforms.halphen import HalphenSolution, HGParams
+from triforms.halphen import HalphenSolution, HGParams, TriangleType
 from triforms.hypergeom import mirror_map, series_f
 from triforms.rationals import ONE, QQ, ZERO
 from triforms.series import TruncatedSeries, theta_derivative
@@ -47,6 +47,56 @@ def exp_by_recurrence(u: TruncatedSeries) -> TruncatedSeries:
                 acc += k * u.coeffs[k] * out[m - k]
         out.append(acc / m)
     return TruncatedSeries(out, n)
+
+
+def solve_halphen_by_fractions(tri: TriangleType,
+                               n_order: int) -> HalphenSolution:
+    """Solve the Halphen system to order n_order for the given type, with
+    every coefficient operation on reduced rationals.
+
+    The order-1 system, a t1_1 + (1-a) t3_1 = 0 (twice, since c = 1 - a)
+    and t2_1 = (1-b)(t1_1 + t3_1), leaves one scale free; it is fixed by
+    t3_1 - t1_1 = kappa, so that the Halphen J matches the
+    hypergeometric route.
+    """
+    if n_order < 2:
+        raise ValueError("need n_order >= 2")
+    params = HGParams.for_type(tri)
+    a, b, c = params.a, params.b, 1 - params.a
+    kappa = tri.kappa
+    # coefficients of q^0 and q^1
+    t1 = [ZERO, (a - 1) * kappa]
+    t2 = [QQ(-1), (1 - b) * (2 * a - 1) * kappa]
+    t3 = [ZERO, a * kappa]
+
+    def conv(x, y, n):
+        """q^n coefficient of x*y over the orders 1..n-1."""
+        return sum((x[k] * y[n - k] for k in range(1, n)), ZERO)
+
+    for n in range(2, n_order + 1):
+        # known right-hand sides from lower orders; the t2^2 term drops
+        # out because a + c - 1 = 0
+        p11, p33 = conv(t1, t1, n), conv(t3, t3, n)
+        p12, p13, p23 = conv(t1, t2, n), conv(t1, t3, n), conv(t2, t3, n)
+        k1 = (a - 1) * (p12 + p13 - p23) + (b + c - 1) * p11
+        k2 = (b - 1) * (p12 + p23 - p13)
+        k3 = (c - 1) * (p13 + p23 - p12) + (a + b - 1) * p33
+        # the order-n unknowns pair with t2_0 = -1:
+        #   (n+a-1) x1 - (a-1) x3 = k1,  -(c-1) x1 + (n+c-1) x3 = k3,
+        #   n x2 + (b-1)(x1 + x3) = k2;  the x1/x3 block has det n(n-1)
+        det = n * (n - 1)
+        x1 = ((n + c - 1) * k1 + (a - 1) * k3) / det
+        x3 = ((c - 1) * k1 + (n + a - 1) * k3) / det
+        t1.append(x1)
+        t2.append((k2 - (b - 1) * (x1 + x3)) / n)
+        t3.append(x3)
+
+    return HalphenSolution(
+        triangle=tri,
+        t1=TruncatedSeries(t1, n_order),
+        t2=TruncatedSeries(t2, n_order),
+        t3=TruncatedSeries(t3, n_order),
+    )
 
 
 def binomial_series(alpha, n_order: int) -> TruncatedSeries:

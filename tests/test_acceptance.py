@@ -209,9 +209,9 @@ def test_criterion_10_structural_identities(capsys):
         ok = ok and min(lhs.truncation, j.truncation) >= 30
         # t-product generators equal the J-derivative formulas to order 30
         for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
-            for k in generator_range(tri, kind):
+            ks = generator_range(tri, kind)
+            for k, via_j in zip(ks, generators_via_j(kind, ks, j)):
                 direct = LaurentSeries.from_truncated(builder(k, sol))
-                via_j = generators_via_j(kind, k, j)
                 ok = ok and via_j.agrees_with(direct) is None
                 ok = ok and min(via_j.truncation, direct.truncation) >= 30
     # Halphen back-substitution residual vanishes identically

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from triforms import halphen
 from triforms.errors import DegenerateDenominator, InvariantViolation
@@ -14,7 +16,7 @@ from triforms.halphen import (
 from triforms.rationals import QQ
 from triforms.series import LaurentSeries, theta_derivative
 
-from oracles import halphen_residuals
+from oracles import halphen_residuals, solve_halphen_by_fractions
 
 SAMPLE_TYPES = [
     TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),
@@ -147,6 +149,28 @@ def test_closed_form_order_one(tri):
     assert t21 == (1 - b) * (t11 + t31)
     for res in halphen_residuals(sol):
         assert res.is_zero()
+
+
+def _assert_same_solution(tri, n_order):
+    fast = solve_halphen(tri, n_order)
+    loop = solve_halphen_by_fractions(tri, n_order)
+    assert fast.triangle == loop.triangle == tri
+    assert fast.t1 == loop.t1
+    assert fast.t2 == loop.t2
+    assert fast.t3 == loop.t3
+
+
+@pytest.mark.parametrize("n_order", [2, 3, 40])
+@pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
+def test_integer_solve_matches_fraction_loop(tri, n_order):
+    """The solve on integer numerators over one denominator equals the
+    loop of reduced-rational operations, coefficients and truncation."""
+    _assert_same_solution(tri, n_order)
+
+
+@given(st.sampled_from(GRID_TYPES), st.integers(min_value=2, max_value=30))
+def test_integer_solve_matches_fraction_loop_random(tri, n_order):
+    _assert_same_solution(tri, n_order)
 
 
 class TestHauptmodul:

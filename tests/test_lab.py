@@ -234,9 +234,20 @@ class TestGeneratorIntegrality:
         # a J-formula route that disagrees must stop the per-type build
         real = lab.generators_via_j
         monkeypatch.setattr(lab, "generators_via_j",
-                            lambda *args: 2 * real(*args))
+                            lambda *args: [2 * s for s in real(*args)])
         with pytest.raises(FormulaMismatch):
             checked_generators(TRI25, 10)
+
+    def test_short_formula_window_is_typed_error(self, monkeypatch):
+        # a J-formula route that stops below the order asked for cannot
+        # certify it, even where it agrees
+        real = lab.generators_via_j
+        monkeypatch.setattr(lab, "generators_via_j", lambda *args: [
+            LaurentSeries(s.lowest_exponent, s.coeffs, 9)
+            for s in real(*args)])
+        with pytest.raises(OrderShortfall):
+            checked_generators(TRI25, 10)
+        checked_generators(TRI25, 9)
 
     def test_e4_e6_identity(self):
         # E4^3/(E4^3 - E6^2) = J, exactly
