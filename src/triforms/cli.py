@@ -103,12 +103,12 @@ def _series_catalog(tri: TriangleType, name: str, n_order: int):
         sol = solve_halphen(tri, n_order + 2)
         return hauptmodul_from_halphen(sol).to_json()
     if name.startswith("e1_") or name.startswith("e2_"):
-        weight = int(name[3:])
-        if weight % 2 != 0:
-            raise ValueError("generator weights are even: use e.g. E2_4")
+        k, odd = divmod(int(name[3:]), 2)
+        if odd or k < 1:
+            raise ValueError("generator weights are even and at least 2")
         sol = solve_halphen(tri, max(n_order, 2))
         builder = eisenstein_one if name[1] == "1" else eisenstein_two
-        return builder(weight // 2, sol).retruncate(n_order).to_json()
+        return builder(range(k, k + 1), sol)[0].retruncate(n_order).to_json()
     params = HGParams.for_type(tri)
     if name == "f":
         return series_f(params, n_order).to_json()

@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Optional
+from typing import List, Optional
 
 from .errors import DegenerateDenominator, InvariantViolation
 from .rationals import QQ, ZERO, numden
-from .series import LaurentSeries, TruncatedSeries
+from .series import LaurentSeries, TruncatedSeries, power_ladder
 
 INFINITY = None  # m2 = infinity marker
 
@@ -213,15 +213,13 @@ def generator_range(tri: TriangleType, kind: int) -> range:
     return range(1, tri.m1 + 1) if kind == 1 else range(0)
 
 
-def eisenstein_one(k: int, sol: HalphenSolution) -> TruncatedSeries:
-    """E^{(1)}_{2k} = (t1 - t2)(t3 - t2)^(k-1); constant term 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (sol.t1 - sol.t2) * (sol.t3 - sol.t2) ** (k - 1)
+def eisenstein_one(ks: range, sol: HalphenSolution) -> List[TruncatedSeries]:
+    """E^{(1)}_{2k} = (t1 - t2)(t3 - t2)^(k-1), constant term 1, for each
+    k >= 1 in the ascending range ks, all from one power ladder."""
+    return power_ladder(sol.t1 - sol.t2, sol.t3 - sol.t2, [k - 1 for k in ks])
 
 
-def eisenstein_two(k: int, sol: HalphenSolution) -> TruncatedSeries:
-    """E^{(2)}_{2k} = (t1 - t2)^(k-1)(t3 - t2); constant term 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (sol.t1 - sol.t2) ** (k - 1) * (sol.t3 - sol.t2)
+def eisenstein_two(ks: range, sol: HalphenSolution) -> List[TruncatedSeries]:
+    """E^{(2)}_{2k} = (t1 - t2)^(k-1)(t3 - t2), constant term 1, for each
+    k >= 1 in the ascending range ks, all from one power ladder."""
+    return power_ladder(sol.t3 - sol.t2, sol.t1 - sol.t2, [k - 1 for k in ks])

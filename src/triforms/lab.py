@@ -43,6 +43,7 @@ from .series import (
     LaurentSeries,
     TruncatedSeries,
     exp_series,
+    power_ladder,
     substitute_power,
     valuation_profile,
     ValuationProfile,
@@ -142,34 +143,29 @@ def generators_via_j(kind: int, ks: range, j: LaurentSeries
     range ks, with Jdot = -theta(J): with the q-orientation fixed by
     t3_1 - t1_1 = kappa > 0 in the Halphen solution, the t-difference
     identities hold with that global minus sign (validated exactly in
-    the suite).  The ratio and the factor are formed once, and each
-    power is the previous one times the ratio."""
+    the suite).  The ratio and the factor are formed once, and the
+    powers come from the power ladder the t-products use."""
     if not ks:
         return []
     jdot = -1 * j.theta()
     if kind == 1:
-        ratio, factor = jdot / (j - 1), (j - 1) / j
-    else:
-        ratio, factor = jdot / j, j / (j - 1)
-    powers = [ratio ** ks[0]]
-    for _ in ks[1:]:
-        powers.append(powers[-1] * ratio)
-    return [factor * power for power in powers]
+        return power_ladder((j - 1) / j, jdot / (j - 1), ks)
+    return power_ladder(j / (j - 1), jdot / j, ks)
 
 
 def checked_generators(tri: TriangleType, n_order: int
                        ) -> List[Tuple[str, TruncatedSeries]]:
     """Every generator in the algebra lists, labelled, to order n_order.
-    Each is computed both as a t-product and by the J-derivative
-    formula; the two must agree exactly through q^n_order, and a
-    shorter common window raises OrderShortfall."""
+    Each kind's list is built as t-products and by the J-derivative
+    formula, each from one power ladder; the two must agree exactly
+    through q^n_order, and a shorter common window raises OrderShortfall."""
     sol = solve_halphen(tri, n_order + 2)
     j = hauptmodul_from_halphen(sol)
     generators = []
     for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
         ks = generator_range(tri, kind)
-        for k, alt in zip(ks, generators_via_j(kind, ks, j)):
-            series = builder(k, sol)
+        for k, series, alt in zip(ks, builder(ks, sol),
+                                  generators_via_j(kind, ks, j)):
             label = f"E{kind}_{2 * k}"
             top = min(alt.truncation, series.truncation)
             if top < n_order:

@@ -141,14 +141,10 @@ class TruncatedSeries:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers: divide explicitly")
-        result = TruncatedSeries.one(self.truncation)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k < 2:
+            return self if k else TruncatedSeries.one(self.truncation)
+        half = self ** (k // 2)
+        return half * half * self if k & 1 else half * half
 
     def __truediv__(self, other):
         if is_rational(other):
@@ -534,6 +530,15 @@ class LaurentSeries:
             "coeffs": [rational_to_str(c) for c in self.coeffs],
             "truncation": self.truncation,
         }
+
+
+def power_ladder(factor, ratio, exponents):
+    """factor ratio^e for each e of a run of consecutive ascending
+    integers: the first power by **, each later one the last times ratio."""
+    powers = [ratio ** e for e in exponents[:1]]
+    for _ in exponents[1:]:
+        powers.append(powers[-1] * ratio)
+    return [factor * power for power in powers]
 
 
 # --------------------------------------------------------------------------

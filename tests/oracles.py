@@ -1,8 +1,9 @@
 """Test-only oracles: identities the package does not run itself but
 the suite checks its series against (the Euler reflection identity,
-the hypergeometric operator, the Halphen equations), and the O(N^2)
+the hypergeometric operator, the Halphen equations), the O(N^2)
 coefficient loops that the Newton kernels of divide and exp_series
-and the integer Halphen solve replaced."""
+and the integer Halphen solve replaced, and the per-weight generator
+builder that the power ladder replaced."""
 
 from typing import Optional, Tuple
 
@@ -97,6 +98,18 @@ def solve_halphen_by_fractions(tri: TriangleType,
         t2=TruncatedSeries(t2, n_order),
         t3=TruncatedSeries(t3, n_order),
     )
+
+
+def eisenstein_by_powering(kind: int, k: int,
+                           sol: HalphenSolution) -> TruncatedSeries:
+    """E^{(1)}_{2k} = (t1 - t2)(t3 - t2)^(k-1) or, for kind 2,
+    E^{(2)}_{2k} = (t1 - t2)^(k-1)(t3 - t2), for one k >= 1, with the
+    power raised by ** on its own."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if kind == 1:
+        return (sol.t1 - sol.t2) * (sol.t3 - sol.t2) ** (k - 1)
+    return (sol.t1 - sol.t2) ** (k - 1) * (sol.t3 - sol.t2)
 
 
 def binomial_series(alpha, n_order: int) -> TruncatedSeries:

@@ -202,16 +202,17 @@ def test_criterion_10_structural_identities(capsys):
     for tri in (TriangleType(2, 5), TriangleType(3, 4)):
         sol = solve_halphen(tri, 34)
         j = hauptmodul_from_halphen(sol)
-        e4 = LaurentSeries.from_truncated(eisenstein_two(2, sol))
-        e6 = LaurentSeries.from_truncated(eisenstein_two(3, sol))
+        e4, e6 = (LaurentSeries.from_truncated(e)
+                  for e in eisenstein_two(range(2, 4), sol))
         lhs = e4 ** 3 / (e4 ** 3 - e6 ** 2)
         ok = ok and lhs.agrees_with(j) is None
         ok = ok and min(lhs.truncation, j.truncation) >= 30
         # t-product generators equal the J-derivative formulas to order 30
         for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
             ks = generator_range(tri, kind)
-            for k, via_j in zip(ks, generators_via_j(kind, ks, j)):
-                direct = LaurentSeries.from_truncated(builder(k, sol))
+            for t_product, via_j in zip(builder(ks, sol),
+                                        generators_via_j(kind, ks, j)):
+                direct = LaurentSeries.from_truncated(t_product)
                 ok = ok and via_j.agrees_with(direct) is None
                 ok = ok and min(via_j.truncation, direct.truncation) >= 30
     # Halphen back-substitution residual vanishes identically

@@ -85,6 +85,15 @@ class TestExpand:
         assert code == 2
         assert "unknown series" in err
 
+    @pytest.mark.parametrize("series", ["E1_0", "E2_-4", "E2_5"])
+    def test_generator_weight_is_usage_error(self, capsys, series):
+        # the weight is checked where it enters, in the user's terms
+        code, out, err = run(capsys, "expand", "--type", "2,5",
+                             "--series", series, "--N", "4")
+        assert code == 2
+        assert out == ""
+        assert "generator weights are even and at least 2" in err
+
     @pytest.mark.parametrize("alias", ["zofq", "q", "z"])
     def test_undocumented_alias_is_usage_error(self, capsys, alias):
         # the mirror maps are named qmap and zmap only

@@ -14,9 +14,10 @@ from triforms.halphen import (
     solve_halphen,
 )
 from triforms.rationals import QQ
-from triforms.series import LaurentSeries, theta_derivative
+from triforms.series import LaurentSeries, TruncatedSeries, theta_derivative
 
-from oracles import halphen_residuals, solve_halphen_by_fractions
+from oracles import (
+    eisenstein_by_powering, halphen_residuals, solve_halphen_by_fractions)
 
 SAMPLE_TYPES = [
     TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),
@@ -196,21 +197,44 @@ class TestGenerators:
     def test_constant_term_one(self):
         for tri in SAMPLE_TYPES[:4]:
             sol = solve_halphen(tri, 8)
-            for k in (1, 2, 3, 4):
-                assert eisenstein_one(k, sol).constant_term == 1
-                assert eisenstein_two(k, sol).constant_term == 1
+            for builder in (eisenstein_one, eisenstein_two):
+                assert [e.constant_term for e in builder(range(1, 5), sol)] \
+                    == [1, 1, 1, 1]
 
     def test_weight_four_symmetry(self):
         sol = solve_halphen(TriangleType(2, 5), 8)
-        assert eisenstein_one(2, sol) == eisenstein_two(2, sol)
+        assert eisenstein_one(range(2, 3), sol) == \
+            eisenstein_two(range(2, 3), sol)
 
     def test_multiplicative_recursions(self):
         sol = solve_halphen(TriangleType(3, 4), 12)
-        for k in (1, 2, 3):
-            assert eisenstein_one(k + 1, sol) == \
-                eisenstein_one(k, sol) * (sol.t3 - sol.t2)
-            assert eisenstein_two(k + 1, sol) == \
-                eisenstein_two(k, sol) * (sol.t1 - sol.t2)
+        e1 = eisenstein_one(range(1, 5), sol)
+        e2 = eisenstein_two(range(1, 5), sol)
+        for k in (0, 1, 2):
+            assert e1[k + 1] == e1[k] * (sol.t3 - sol.t2)
+            assert e2[k + 1] == e2[k] * (sol.t1 - sol.t2)
+
+    @pytest.mark.parametrize("tri", [
+        t for t in GRID_TYPES if t.m2_finite and t.m2 <= 8]
+        + [TriangleType(2, None), TriangleType(3, None)], ids=str)
+    def test_ladder_matches_per_weight_powering(self, tri):
+        # the ladder lists equal the per-k oracle coefficient for
+        # coefficient, over each generator range and over k = 1..4
+        sol = solve_halphen(tri, 12)
+        for kind, builder in ((1, eisenstein_one), (2, eisenstein_two)):
+            for ks in (generator_range(tri, kind), range(1, 5)):
+                assert builder(ks, sol) == [
+                    eisenstein_by_powering(kind, k, sol) for k in ks]
+
+    def test_ladder_product_count(self, monkeypatch):
+        # (t1 - t2)^1 takes no product, then 4 ladder steps and 5
+        # factor products
+        sol = solve_halphen(TriangleType(2, 5), 12)
+        real, calls = TruncatedSeries.__mul__, []
+        monkeypatch.setattr(TruncatedSeries, "__mul__",
+                            lambda a, b: calls.append(1) or real(a, b))
+        eisenstein_two(range(2, 7), sol)
+        assert len(calls) == 9
 
     def test_generator_ranges(self):
         assert list(generator_range(TriangleType(2, 5), 1)) == []

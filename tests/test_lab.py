@@ -255,8 +255,8 @@ class TestGeneratorIntegrality:
         for tri in (TriangleType(2, 5), TriangleType(3, 4)):
             sol = solve_halphen(tri, 34)
             j = hauptmodul_from_halphen(sol)
-            e4 = LaurentSeries.from_truncated(eisenstein_two(2, sol))
-            e6 = LaurentSeries.from_truncated(eisenstein_two(3, sol))
+            e4, e6 = (LaurentSeries.from_truncated(e)
+                      for e in eisenstein_two(range(2, 4), sol))
             lhs = e4 ** 3 / (e4 ** 3 - e6 ** 2)
             assert lhs.agrees_with(j) is None
             assert min(lhs.truncation, j.truncation) >= 30

@@ -131,6 +131,21 @@ class TestRingOps:
         assert x + y == y + x
         assert x * y == y * x
 
+    def test_power_product_count(self, monkeypatch):
+        # binary powering from the first set bit: x ** 1 makes no
+        # product, x ** 2 one, and no power multiplies by the series 1
+        x = ts(1, 2, -3, 5, N=6)
+        real, calls = TruncatedSeries.__mul__, []
+        monkeypatch.setattr(TruncatedSeries, "__mul__",
+                            lambda a, b: calls.append(1) or real(a, b))
+        expected = TruncatedSeries.one(6)
+        for k in range(9):
+            del calls[:]
+            assert x ** k == expected
+            assert len(calls) == max(k.bit_length() + bin(k).count("1") - 2,
+                                     0)
+            expected = real(expected, x)
+
     @given(series(15), series(15), small_rationals)
     def test_scale_argument_multiplicative(self, x, y, kappa):
         assert scale_argument(x * y, kappa) == \
