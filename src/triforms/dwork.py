@@ -6,10 +6,9 @@ scan that reproduces the arithmetic (Takeuchi) list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import InvariantViolation, PrimeDividesDenominator, SharedFactor
 from .halphen import HGParams, TriangleType
@@ -76,15 +75,13 @@ class Branch(Enum):
     SHIFTED = "shifted"  # p = m1+epsilon mod 2m1 and p = m2+eps'*eps mod 2m2
 
 
-@dataclass(frozen=True)
-class WitnessCase:
+class WitnessCase(NamedTuple):
     epsilon: int
     epsilon_prime: int
     branch: Branch
 
 
-@dataclass(frozen=True)
-class IntegralityVerdict:
+class IntegralityVerdict(NamedTuple):
     triangle: TriangleType
     prime: int
     verdict: Verdict

@@ -26,10 +26,9 @@ built once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import DegenerateDenominator, InvariantViolation
 from .rationals import QQ, ZERO, numden
@@ -38,23 +37,23 @@ from .series import LaurentSeries, TruncatedSeries, power_ladder
 INFINITY = None  # m2 = infinity marker
 
 
-@dataclass(frozen=True)
-class TriangleType:
+class TriangleType(NamedTuple("TriangleType",
+                              [("m1", int), ("m2", Optional[int])])):
     """Type (m1, m2, inf): m1 finite >= 2, m2 >= m1 or infinite (None)."""
 
-    m1: int
-    m2: Optional[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.m1, int) or self.m1 < 2:
+    def __new__(cls, m1, m2):
+        if not isinstance(m1, int) or m1 < 2:
             raise ValueError("m1 must be an integer >= 2")
-        if self.m2 is not INFINITY:
-            if not isinstance(self.m2, int) or self.m2 < self.m1:
+        if m2 is not INFINITY:
+            if not isinstance(m2, int) or m2 < m1:
                 raise ValueError("m2 must be an integer >= m1, or None for infinity")
-            if QQ(1, self.m1) + QQ(1, self.m2) >= 1:
+            if QQ(1, m1) + QQ(1, m2) >= 1:
                 raise ValueError("not hyperbolic: 1/m1 + 1/m2 must be < 1")
         # m1 is always finite here, so (inf, inf) cannot be expressed;
         # the (inf, inf, inf) group is out of scope by design.
+        return super().__new__(cls, m1, m2)
 
     @property
     def m2_finite(self) -> bool:
@@ -87,14 +86,18 @@ class TriangleType:
         return cls(m1, m2)
 
 
-@dataclass(frozen=True)
-class HGParams:
+class HGParams(NamedTuple("HGParams", [("a", object), ("b", object)])):
     """A hypergeometric pair (a, b).  for_type gives a triangle type's
     pair a = (1 - 1/m1 + 1/m2)/2, b = (1 - 1/m1 - 1/m2)/2, and the
     Halphen system's third is c = 1 - a."""
 
-    a: object
-    b: object
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        # strict ordering 0 < b <= a < 1, equality only for m2 = inf
+        if not (0 < b <= a < 1):
+            raise ValueError("parameters outside (0, 1) or misordered")
+        return super().__new__(cls, a, b)
 
     @classmethod
     def for_type(cls, tri: TriangleType) -> "HGParams":
@@ -111,14 +114,8 @@ class HGParams:
                                      "break the defining relations")
         return cls(a, b)
 
-    def __post_init__(self):
-        # strict ordering 0 < b <= a < 1, equality only for m2 = inf
-        if not (0 < self.b <= self.a < 1):
-            raise ValueError("parameters outside (0, 1) or misordered")
 
-
-@dataclass(frozen=True)
-class HalphenSolution:
+class HalphenSolution(NamedTuple):
     triangle: TriangleType
     t1: TruncatedSeries
     t2: TruncatedSeries

@@ -20,9 +20,8 @@ unrelated tall denominators would make it up to N times taller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ConstantTermNotOne,
@@ -545,8 +544,7 @@ def power_ladder(factor, ratio, exponents):
 # p-adic valuation profiles
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(NamedTuple):
     """Per-coefficient p-adic valuations of a series against a bound.
 
     entries[i] is v_p of the coefficient at index start_index + i, or

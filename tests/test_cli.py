@@ -276,8 +276,11 @@ class TestVerify:
         assert "no prime" in err
 
     def test_long_gate(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "remark")
+        # a usage error, raised before any cell runs
+        code, out, err = run(capsys, "verify", "--suite", "remark")
         assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
         assert "--long" in err
 
     @pytest.mark.parametrize("argv, unread", [

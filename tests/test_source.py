@@ -1,6 +1,9 @@
 """Guards on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "triforms"
@@ -63,3 +66,17 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{fn.name}:{name}"
                        for name in params if name not in read]
     assert unread == []
+
+
+def test_cli_import_leaves_out_the_introspection_modules():
+    # every CLI call is a fresh interpreter, so what `import triforms.cli`
+    # pulls in is paid on each one; dataclasses alone drags in inspect,
+    # ast, dis and tokenize.  The pytest process has them all loaded, so
+    # the import runs in a child.
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    probe = ("import sys, triforms.cli; "
+             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
