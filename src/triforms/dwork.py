@@ -6,9 +6,9 @@ scan that reproduces the arithmetic (Takeuchi) list.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from math import gcd
-from typing import List, NamedTuple, Optional
 
 from .errors import InvariantViolation, PrimeDividesDenominator, SharedFactor
 from .halphen import HGParams, TriangleType
@@ -75,20 +75,17 @@ class Branch(Enum):
     SHIFTED = "shifted"  # p = m1+epsilon mod 2m1 and p = m2+eps'*eps mod 2m2
 
 
-class WitnessCase(NamedTuple):
-    epsilon: int
-    epsilon_prime: int
-    branch: Branch
+WitnessCase = namedtuple("WitnessCase", "epsilon epsilon_prime branch")
 
 
-class IntegralityVerdict(NamedTuple):
-    triangle: TriangleType
-    prime: int
-    verdict: Verdict
-    witness: Optional[WitnessCase] = None
-    # present only below the theorem range: what the congruences would
-    # say there; conjectural, never asserted
-    conjectural_integral: Optional[bool] = None
+class IntegralityVerdict(namedtuple(
+        "IntegralityVerdict",
+        "triangle prime verdict witness conjectural_integral",
+        defaults=(None, None))):
+    """conjectural_integral is set only below the theorem range: what
+    the congruences would say there; conjectural, never asserted."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data = {
@@ -107,7 +104,7 @@ class IntegralityVerdict(NamedTuple):
         return data
 
 
-def _congruence_witness(tri: TriangleType, r: int) -> Optional[WitnessCase]:
+def _congruence_witness(tri: TriangleType, r: int) -> WitnessCase | None:
     """Search the four (epsilon, epsilon') sign pairs and both branches
     for a residue r; the branch must be shared between the two moduli."""
     m1 = tri.m1
@@ -179,7 +176,7 @@ def almost_integral(tri: TriangleType) -> bool:
     return True
 
 
-def takeuchi_scan(bound: int) -> List[TriangleType]:
+def takeuchi_scan(bound: int) -> list[TriangleType]:
     """All almost-integral types with m1 <= m2 <= bound, plus the
     cusp-heavy types (m1, inf) with m1 <= bound.
 
@@ -201,7 +198,7 @@ def takeuchi_scan(bound: int) -> List[TriangleType]:
     return found
 
 
-def lemma_two_check(p: int) -> List[tuple]:
+def lemma_two_check(p: int) -> list[tuple]:
     """Brute-force the degree-1/degree-2 Schwarz coefficient criterion
     over F_p: C1 = sigma - 2 tau and 4 C2 = sigma^2 - 5 sigma tau
     + 5 tau^2 + sigma - tau agree for (a1,b1) and (a2,b2) iff

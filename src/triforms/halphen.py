@@ -26,9 +26,9 @@ built once, at the end.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
 from operator import mul
-from typing import List, NamedTuple, Optional
 
 from .errors import DegenerateDenominator, InvariantViolation
 from .rationals import QQ, ZERO, numden
@@ -37,8 +37,7 @@ from .series import LaurentSeries, TruncatedSeries, power_ladder
 INFINITY = None  # m2 = infinity marker
 
 
-class TriangleType(NamedTuple("TriangleType",
-                              [("m1", int), ("m2", Optional[int])])):
+class TriangleType(namedtuple("TriangleType", "m1 m2")):
     """Type (m1, m2, inf): m1 finite >= 2, m2 >= m1 or infinite (None)."""
 
     __slots__ = ()
@@ -86,7 +85,7 @@ class TriangleType(NamedTuple("TriangleType",
         return cls(m1, m2)
 
 
-class HGParams(NamedTuple("HGParams", [("a", object), ("b", object)])):
+class HGParams(namedtuple("HGParams", "a b")):
     """A hypergeometric pair (a, b).  for_type gives a triangle type's
     pair a = (1 - 1/m1 + 1/m2)/2, b = (1 - 1/m1 - 1/m2)/2, and the
     Halphen system's third is c = 1 - a."""
@@ -115,11 +114,7 @@ class HGParams(NamedTuple("HGParams", [("a", object), ("b", object)])):
         return cls(a, b)
 
 
-class HalphenSolution(NamedTuple):
-    triangle: TriangleType
-    t1: TruncatedSeries
-    t2: TruncatedSeries
-    t3: TruncatedSeries
+HalphenSolution = namedtuple("HalphenSolution", "triangle t1 t2 t3")
 
 
 def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
@@ -210,13 +205,13 @@ def generator_range(tri: TriangleType, kind: int) -> range:
     return range(1, tri.m1 + 1) if kind == 1 else range(0)
 
 
-def eisenstein_one(ks: range, sol: HalphenSolution) -> List[TruncatedSeries]:
+def eisenstein_one(ks: range, sol: HalphenSolution) -> list[TruncatedSeries]:
     """E^{(1)}_{2k} = (t1 - t2)(t3 - t2)^(k-1), constant term 1, for each
     k >= 1 in the ascending range ks, all from one power ladder."""
     return power_ladder(sol.t1 - sol.t2, sol.t3 - sol.t2, [k - 1 for k in ks])
 
 
-def eisenstein_two(ks: range, sol: HalphenSolution) -> List[TruncatedSeries]:
+def eisenstein_two(ks: range, sol: HalphenSolution) -> list[TruncatedSeries]:
     """E^{(2)}_{2k} = (t1 - t2)^(k-1)(t3 - t2), constant term 1, for each
     k >= 1 in the ascending range ks, all from one power ladder."""
     return power_ladder(sol.t3 - sol.t2, sol.t1 - sol.t2, [k - 1 for k in ks])

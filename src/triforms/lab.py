@@ -25,7 +25,6 @@ profile at order N is bounded evidence, never a proof.
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Tuple
 
 from .errors import FormulaMismatch, OrderShortfall, RouteMismatch
 from .halphen import (
@@ -45,6 +44,7 @@ from .series import (
     exp_series,
     power_ladder,
     substitute_power,
+    theta_derivative,
     valuation_profile,
     ValuationProfile,
 )
@@ -105,7 +105,7 @@ def schwarz_congruence_check(tri: TriangleType, p: int,
 
 
 def dieudonne_check(u: TruncatedSeries, p: int
-                    ) -> Tuple[ValuationProfile, ValuationProfile]:
+                    ) -> tuple[ValuationProfile, ValuationProfile]:
     """Both sides of the additive Dieudonne-Dwork equivalence, exactly
     to order u.truncation: the integrality profile of exp(u), and the
     mod-p profile of u(z^p) - p u(z), which first fails where that of
@@ -137,24 +137,32 @@ def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
 
 
 def generators_via_j(kind: int, ks: range, j: LaurentSeries
-                     ) -> List[LaurentSeries]:
+                     ) -> list[LaurentSeries]:
     """E^{(1)}_{2k} = ((J-1)/J) (Jdot/(J-1))^k and
     E^{(2)}_{2k} = (Jdot/J)^k (J/(J-1)) for each k in the ascending
     range ks, with Jdot = -theta(J): with the q-orientation fixed by
     t3_1 - t1_1 = kappa > 0 in the Halphen solution, the t-difference
     identities hold with that global minus sign (validated exactly in
-    the suite).  The ratio and the factor are formed once, and the
-    powers come from the power ladder the t-products use."""
+    the suite).
+
+    j is the Halphen J = B/q, whose simple pole hauptmodul_from_halphen
+    guarantees (DegenerateDenominator otherwise), so J - 1 = (B - q)/q
+    and Jdot = (B - theta(B))/q come from the power series B.  The ratio
+    and the factor are formed once, and the powers come from the power
+    ladder the t-products use."""
     if not ks:
         return []
-    jdot = -1 * j.theta()
+    b = j.body
+    j_minus_one = LaurentSeries.from_truncated(
+        b - TruncatedSeries.identity(b.truncation), -1)
+    jdot = LaurentSeries.from_truncated(b - theta_derivative(b), -1)
     if kind == 1:
-        return power_ladder((j - 1) / j, jdot / (j - 1), ks)
-    return power_ladder(j / (j - 1), jdot / j, ks)
+        return power_ladder(j_minus_one / j, jdot / j_minus_one, ks)
+    return power_ladder(j / j_minus_one, jdot / j, ks)
 
 
 def checked_generators(tri: TriangleType, n_order: int
-                       ) -> List[Tuple[str, TruncatedSeries]]:
+                       ) -> list[tuple[str, TruncatedSeries]]:
     """Every generator in the algebra lists, labelled, to order n_order.
     Each kind's list is built as t-products and by the J-derivative
     formula, each from one power ladder; the two must agree exactly
@@ -182,8 +190,8 @@ def checked_generators(tri: TriangleType, n_order: int
 
 
 def generator_integrality(tri: TriangleType, p: int,
-                          generators: List[Tuple[str, TruncatedSeries]]
-                          ) -> List[Tuple[str, ValuationProfile]]:
+                          generators: list[tuple[str, TruncatedSeries]]
+                          ) -> list[tuple[str, ValuationProfile]]:
     """The integrality profile of each generator from checked_generators."""
     require_coprime(tri, p)
     return [(label, valuation_profile(series, p))

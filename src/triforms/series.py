@@ -20,8 +20,8 @@ unrelated tall denominators would make it up to N times taller.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
-from typing import NamedTuple, Optional
 
 from .errors import (
     ConstantTermNotOne,
@@ -38,7 +38,7 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs", "truncation")
 
-    def __init__(self, coeffs, truncation: Optional[int] = None):
+    def __init__(self, coeffs, truncation: int | None = None):
         coeffs = [QQ(c) for c in coeffs]
         if truncation is None:
             truncation = len(coeffs) - 1
@@ -81,7 +81,7 @@ class TruncatedSeries:
             return NotImplemented
         return self.truncation == other.truncation and self.coeffs == other.coeffs
 
-    def agrees_with(self, other: "TruncatedSeries") -> Optional[int]:
+    def agrees_with(self, other: "TruncatedSeries") -> int | None:
         """First index (up to the common truncation) where coefficients
         differ, or None if they agree."""
         n = min(self.truncation, other.truncation)
@@ -368,28 +368,24 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
 
 class LaurentSeries:
     """Sum of c_e q^e for lowest_exponent <= e <= truncation, held as
-    q^lowest_exponent times a power series body.
-
-    The coefficient at the lowest exponent is nonzero unless the series
-    is identically zero over its window; the zero series has no body and
-    lowest_exponent = truncation + 1 (canonicalized on construction).
-    Every coefficient operation is done on bodies by TruncatedSeries.
-    """
+    q^lowest_exponent times a unit power series body: the coefficient at
+    the lowest exponent is nonzero (leading zeros are stripped on
+    construction), so a window with no nonzero coefficient is rejected
+    and there is no zero Laurent series.  Products, quotients and powers
+    are done on bodies by TruncatedSeries."""
 
     __slots__ = ("lowest_exponent", "body", "truncation")
 
     def __init__(self, lowest_exponent: int, coeffs, truncation: int):
         coeffs = list(coeffs)
         width = truncation - lowest_exponent + 1
-        if width < 0:
-            raise ValueError("truncation below lowest exponent")
-        # canonicalize: strip leading zeros
-        lead = next((i for i, c in enumerate(coeffs[:width]) if QQ(c) != 0),
-                    width)
-        body = (TruncatedSeries(coeffs[lead:], width - lead - 1)
-                if lead < width else None)
+        lead = next((i for i, c in enumerate(coeffs[:max(width, 0)])
+                     if QQ(c) != 0), None)
+        if lead is None:
+            raise ValueError("no nonzero coefficient through the truncation")
         object.__setattr__(self, "lowest_exponent", lowest_exponent + lead)
-        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "body",
+                           TruncatedSeries(coeffs[lead:], width - lead - 1))
         object.__setattr__(self, "truncation", truncation)
 
     def __setattr__(self, name, value):
@@ -400,19 +396,10 @@ class LaurentSeries:
         """View a power series as Laurent, optionally shifted by q^shift."""
         return cls(shift, s.coeffs, s.truncation + shift)
 
-    def _window(self, lo: int, top: int) -> TruncatedSeries:
-        """The coefficients of q^lo..q^top as a power series, for
-        lo <= min(lowest_exponent, top); zero below the lowest exponent."""
-        return TruncatedSeries(
-            [ZERO] * (self.lowest_exponent - lo) + list(self.coeffs), top - lo)
-
     @property
     def coeffs(self) -> tuple:
         """Coefficients of q^lowest_exponent..q^truncation."""
-        return () if self.body is None else self.body.coeffs
-
-    def is_zero(self) -> bool:
-        return self.body is None
+        return self.body.coeffs
 
     def coefficient(self, e: int):
         if e > self.truncation:
@@ -428,13 +415,13 @@ class LaurentSeries:
                 and self.lowest_exponent == other.lowest_exponent
                 and self.coeffs == other.coeffs)
 
-    def agrees_with(self, other: "LaurentSeries") -> Optional[int]:
+    def agrees_with(self, other: "LaurentSeries") -> int | None:
         """First exponent (up to the common truncation) where the two
         disagree, or None."""
         top = min(self.truncation, other.truncation)
-        lo = min(self.lowest_exponent, other.lowest_exponent, top)
-        i = self._window(lo, top).agrees_with(other._window(lo, top))
-        return None if i is None else lo + i
+        lo = min(self.lowest_exponent, other.lowest_exponent)
+        return next((e for e in range(lo, top + 1)
+                     if self.coefficient(e) != other.coefficient(e)), None)
 
     def __repr__(self):
         head = ", ".join(
@@ -442,86 +429,34 @@ class LaurentSeries:
             for i, c in enumerate(self.coeffs[:4]))
         return f"LaurentSeries({head}, ..., top={self.truncation})"
 
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        if is_rational(other):
-            other = LaurentSeries(0, [other], self.truncation)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        top = min(self.truncation, other.truncation)
-        lo = min(self.lowest_exponent, other.lowest_exponent, top)
-        return LaurentSeries.from_truncated(
-            self._window(lo, top) + other._window(lo, top), lo)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        lo = min(self.lowest_exponent, self.truncation)
-        return LaurentSeries.from_truncated(
-            -self._window(lo, self.truncation), lo)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- arithmetic: (q^k u)(q^l v) = q^(k+l) uv, (q^k u)/(q^l v) =
+    # q^(k-l) u/v and (q^k u)^n = q^(kn) u^n, for units u and v ----------
 
     def __mul__(self, other):
-        if is_rational(other):
-            lo = min(self.lowest_exponent, self.truncation)
-            return LaurentSeries.from_truncated(
-                self._window(lo, self.truncation) * other, lo)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        top = min(self.truncation + other.lowest_exponent,
-                  other.truncation + self.lowest_exponent)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries(top + 1, [], top)
         return LaurentSeries.from_truncated(
             self.body * other.body,
             self.lowest_exponent + other.lowest_exponent)
 
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers: divide explicitly")
-        lo = self.lowest_exponent
-        top = k * lo + self.truncation - lo
-        if self.is_zero():
-            return LaurentSeries(top + 1, [], top)
-        return LaurentSeries.from_truncated(self.body ** k, k * lo)
+        return LaurentSeries.from_truncated(
+            self.body ** k, k * self.lowest_exponent)
 
     def __truediv__(self, other):
-        if is_rational(other):
-            return self * (ONE / QQ(other))
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if other.is_zero():
-            raise ZeroConstantTerm("division by zero Laurent series")
-        # (q^k u) / (q^l v) = q^(k-l) (u/v), v a unit power series
-        if self.is_zero():
-            top = self.truncation - other.lowest_exponent
-            return LaurentSeries(top + 1, [], top)
         return LaurentSeries.from_truncated(
             divide(self.body, other.body),
             self.lowest_exponent - other.lowest_exponent)
 
     def __rtruediv__(self, other):
-        if is_rational(other):
-            # window wide enough that 1/self keeps its full precision
-            width = max(0, self.truncation - self.lowest_exponent)
-            num = LaurentSeries(0, [QQ(other)], width)
-            return num / self
-        return NotImplemented
-
-    def theta(self) -> "LaurentSeries":
-        """q d/dq on a Laurent series: c_e -> e c_e."""
-        return LaurentSeries(
-            self.lowest_exponent,
-            [(self.lowest_exponent + i) * c for i, c in enumerate(self.coeffs)],
-            self.truncation)
+        if not is_rational(other):
+            return NotImplemented
+        # a window as wide as the body keeps 1/self at full precision
+        return LaurentSeries(0, [other], self.body.truncation) / self
 
     def to_json(self) -> dict:
         return {
@@ -544,7 +479,9 @@ def power_ladder(factor, ratio, exponents):
 # p-adic valuation profiles
 # --------------------------------------------------------------------------
 
-class ValuationProfile(NamedTuple):
+class ValuationProfile(namedtuple("ValuationProfile",
+                                  "prime entries start_index bound",
+                                  defaults=(0, 0))):
     """Per-coefficient p-adic valuations of a series against a bound.
 
     entries[i] is v_p of the coefficient at index start_index + i, or
@@ -553,18 +490,15 @@ class ValuationProfile(NamedTuple):
     mod p.
     """
 
-    prime: int
-    entries: tuple
-    start_index: int = 0
-    bound: int = 0
+    __slots__ = ()
 
     @property
-    def min_valuation(self) -> Optional[int]:
+    def min_valuation(self) -> int | None:
         """The least finite entry (None if every coefficient vanishes)."""
         return min((v for v in self.entries if v is not None), default=None)
 
     @property
-    def first_failure(self) -> Optional[int]:
+    def first_failure(self) -> int | None:
         """The first index whose valuation is below bound, or None."""
         for i, v in enumerate(self.entries):
             if v is not None and v < self.bound:

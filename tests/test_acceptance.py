@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end criteria, one reported line each.
+"""Acceptance gate: twelve end-to-end criteria, one reported line each.
 
 Every criterion is exact (no floating point anywhere in the package);
 the two timed criteria also assert their runtime budgets.
@@ -37,7 +37,7 @@ from triforms.lab import (
     mirror_map_unit,
     schwarz_congruence_check,
 )
-from triforms.series import LaurentSeries
+from triforms.series import LaurentSeries, valuation_profile
 from triforms.rationals import primes
 
 from oracles import euler_identity_check, halphen_residuals
@@ -202,9 +202,9 @@ def test_criterion_10_structural_identities(capsys):
     for tri in (TriangleType(2, 5), TriangleType(3, 4)):
         sol = solve_halphen(tri, 34)
         j = hauptmodul_from_halphen(sol)
-        e4, e6 = (LaurentSeries.from_truncated(e)
-                  for e in eisenstein_two(range(2, 4), sol))
-        lhs = e4 ** 3 / (e4 ** 3 - e6 ** 2)
+        e4, e6 = eisenstein_two(range(2, 4), sol)
+        lhs = (LaurentSeries.from_truncated(e4 ** 3)
+               / LaurentSeries.from_truncated(e4 ** 3 - e6 ** 2))
         ok = ok and lhs.agrees_with(j) is None
         ok = ok and min(lhs.truncation, j.truncation) >= 30
         # t-product generators equal the J-derivative formulas to order 30
@@ -254,3 +254,32 @@ def test_criterion_11_generator_integrality(capsys):
             f"generators p-integral through 2p + 20 iff classifier INTEGRAL, "
             f"first failing index == mirror map's, on {cells} cells "
             f"({indexed} non-integral)", ok and indexed > 0)
+
+
+def test_criterion_12_hecke_corollary_on_j(capsys):
+    # The paper's Hecke corollary, stated with no range for p, against
+    # the Halphen J itself, below 4m as well as above: J is p-integral
+    # iff p = +-1 mod m, and a non-integral J first fails at q^(p-1).
+    # The index rule is observed, not proved; a clean profile is
+    # evidence to the order reached, never a proof.
+    exceptions, cells, non_integral, reached = [], 0, 0, []
+    for m in (5, 7, 9):
+        j = hauptmodul_from_halphen(solve_halphen(TriangleType(2, m), 200))
+        reached.append(j.truncation)
+        for p in primes(5, 99):
+            if gcd(p, 2 * m) > 1:
+                continue
+            profile = valuation_profile(j, p)
+            hecke = p % m in (1, m - 1)
+            if not (profile.holds() == hecke == hecke_classifier(m, p)):
+                exceptions.append(f"(2,{m}) p={p}: verdict")
+            elif not hecke and profile.first_failure != p - 1:
+                exceptions.append(
+                    f"(2,{m}) p={p}: first failure q^{profile.first_failure}")
+            cells += 1
+            non_integral += not hecke
+    _report(capsys, 12,
+            f"Hecke corollary on Halphen J through q^{min(reached)} for "
+            f"m in {{5,7,9}}, 5 <= p < 100: {cells} cells ({non_integral} "
+            f"non-integral, each first failing at q^(p-1)), exceptions "
+            f"{exceptions or 'none'}", not exceptions and cells == 67)

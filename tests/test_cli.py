@@ -11,6 +11,7 @@ from triforms.dwork import theorem_classifier
 from triforms.halphen import TriangleType
 from triforms.lab import empirical_integrality, mirror_map_unit
 from triforms.rationals import primes
+from triforms.series import ValuationProfile
 
 PROFILE_KEYS = {"N", "firstNegativeIndex", "minValuation"}
 
@@ -253,6 +254,25 @@ class TestVerify:
         assert out == ""
         assert "p = 5 shares a factor with 20" in err
         assert count == []
+
+    def test_unpredicted_generator_failure_fails_the_cell(self, capsys,
+                                                           monkeypatch):
+        # every generator profile fails: only the cells the classifier
+        # calls integral (11 and 19 by the conjectural flag, 29 and 31
+        # above the theorem range) fail; 13, 17 and 23 predict it
+        import triforms.cli
+        monkeypatch.setattr(
+            triforms.cli, "generator_integrality",
+            lambda tri, p, generators: [(label, ValuationProfile(p, (0, -1)))
+                                        for label, _ in generators])
+        code, out, err = run(capsys, "verify", "--suite", "generators",
+                             "--type", "2,5", "--primes", "11..31", "--N", "10")
+        assert code == 2
+        assert "verification failed" in err
+        payload = json.loads(out)
+        assert payload["failures"] == [
+            f"generators (2,5) p={p}" for p in (11, 19, 29, 31)]
+        assert all(c["E2_4"] == "nonIntegralEvidence" for c in payload["cells"])
 
     def test_lemma2(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "lemma2",

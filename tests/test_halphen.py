@@ -14,7 +14,7 @@ from triforms.halphen import (
     solve_halphen,
 )
 from triforms.rationals import QQ
-from triforms.series import LaurentSeries, TruncatedSeries, theta_derivative
+from triforms.series import TruncatedSeries, divide, theta_derivative
 
 from oracles import (
     eisenstein_by_powering, halphen_residuals, solve_halphen_by_fractions)
@@ -247,23 +247,16 @@ class TestDerivativeIdentities:
     def test_t_differences_from_j(self):
         # t1 - t2 = Jdot/J and t3 - t2 = Jdot/(J - 1) with Jdot = -theta J
         # (the q-orientation fixed by the prescribed t2 slope flips the
-        # literal theta sign)
+        # literal theta sign); for J = B/q these are the power series
+        # (B - theta B)/B and (B - theta B)/(B - q)
         for tri in (TriangleType(2, 3), TriangleType(3, 4), TriangleType(2, None)):
             sol = solve_halphen(tri, 15)
             j = hauptmodul_from_halphen(sol)
-            jdot = -1 * j.theta()
-            lhs1 = jdot / j
-            lhs3 = jdot / (j - 1)
-            assert lhs1.agrees_with(
-                LaurentSeries.from_truncated(sol.t1 - sol.t2)) is None
-            assert lhs3.agrees_with(
-                LaurentSeries.from_truncated(sol.t3 - sol.t2)) is None
-
-    def test_theta_consistency(self):
-        # theta on the Laurent J matches theta computed before division
-        sol = solve_halphen(TriangleType(2, 3), 12)
-        j = hauptmodul_from_halphen(sol)
-        num = LaurentSeries.from_truncated(sol.t3 - sol.t2)
-        den = LaurentSeries.from_truncated(sol.t3 - sol.t1)
-        quotient_rule = (num.theta() * den - num * den.theta()) / (den * den)
-        assert j.theta().agrees_with(quotient_rule) is None
+            assert j.lowest_exponent == -1
+            b = j.body
+            jdot = b - theta_derivative(b)
+            t12 = divide(jdot, b)
+            t32 = divide(jdot, b - TruncatedSeries.identity(b.truncation))
+            assert t12.truncation == t32.truncation == 14
+            assert t12.agrees_with(sol.t1 - sol.t2) is None
+            assert t32.agrees_with(sol.t3 - sol.t2) is None

@@ -219,7 +219,8 @@ class TestNewtonKernels:
         assert e == exp_by_recurrence(d)
         assert log_series(e) == d
 
-    @given(st.integers(min_value=-3, max_value=3), any_order_series,
+    @given(st.integers(min_value=-3, max_value=3),
+           any_order_series.filter(lambda s: not s.is_zero()),
            st.integers(min_value=-3, max_value=3), any_order_denominators)
     @example(-2, ts(1, -3, "1/2", N=4), -1, ts(5, 1, N=6))
     @example(-1, ts(0, 0, 2, N=5), -3, ts("-1/4", 0, 3, N=3))
@@ -228,8 +229,7 @@ class TestNewtonKernels:
         y = LaurentSeries.from_truncated(den, lo_den)
         expected = NaiveLaurent.of(x) * NaiveLaurent.of(y).inverse()
         assert _shape(x / y) == expected.shape()
-        if not x.is_zero():
-            assert (x / y).body == divide_by_recurrence(x.body, y.body)
+        assert (x / y).body == divide_by_recurrence(x.body, y.body)
 
 
 class TestExpLog:
@@ -412,16 +412,20 @@ class TestLaurent:
         assert s.lowest_exponent == -1
         assert s.coefficient(-2) == 0
 
-    def test_theta(self):
-        s = LaurentSeries(-1, [QQ(2), QQ(5), QQ(7)], 1)
-        assert s.theta().coefficient(-1) == -2
-        assert s.theta().coefficient(0) == 0
-        assert s.theta().coefficient(1) == 7
+    @pytest.mark.parametrize("lowest, coeffs, top", [
+        (-1, [], 3), (-1, [QQ(0), QQ(0)], 3), (2, [QQ(0), QQ(5)], 2),
+        (2, [QQ(1)], 1), (0, [QQ(1), QQ(2)], -3)])
+    def test_no_zero_series(self, lowest, coeffs, top):
+        # q^k times a unit: a window with no nonzero coefficient (one
+        # that ends below its lowest exponent included) has no unit
+        with pytest.raises(ValueError):
+            LaurentSeries(lowest, coeffs, top)
 
 
 class NaiveLaurent:
     """Oracle for LaurentSeries: an exponent -> coefficient dict of the
-    nonzero terms through a truncation, with schoolbook arithmetic."""
+    nonzero terms through a truncation, at least one of them, with
+    schoolbook arithmetic."""
 
     def __init__(self, terms, top):
         self.terms = {e: QQ(c) for e, c in terms.items() if c and e <= top}
@@ -434,22 +438,13 @@ class NaiveLaurent:
 
     @property
     def lo(self):
-        return min(self.terms, default=self.top + 1)
+        return min(self.terms)
 
     def shape(self):
         """(lowest_exponent, coeffs, truncation) of the canonical form."""
         lo = self.lo
         return (lo, tuple(self.terms.get(e, 0) for e in range(lo, self.top + 1)),
                 self.top)
-
-    def __add__(self, other):
-        keys = set(self.terms) | set(other.terms)
-        return NaiveLaurent(
-            {e: self.terms.get(e, 0) + other.terms.get(e, 0) for e in keys},
-            min(self.top, other.top))
-
-    def __neg__(self):
-        return NaiveLaurent({e: -c for e, c in self.terms.items()}, self.top)
 
     def __mul__(self, other):
         out = {}
@@ -475,9 +470,6 @@ class NaiveLaurent:
             out = out * self
         return out
 
-    def theta(self):
-        return NaiveLaurent({e: e * c for e, c in self.terms.items()}, self.top)
-
     def agrees_with(self, other):
         top = min(self.top, other.top)
         for e in range(min(self.lo, other.lo), top + 1):
@@ -491,13 +483,14 @@ def _shape(s):
 
 
 # lowest exponent -2..2 (poles of order 1 and 2), up to two explicit
-# leading zeros, up to two zero-padded slots above the listed terms
+# leading zeros, listed terms with at least one nonzero, up to two
+# zero-padded slots above them
 laurent_series = st.builds(
     lambda lo, zeros, cs, pad: LaurentSeries(
         lo, [QQ(0)] * zeros + cs, lo + zeros + len(cs) - 1 + pad),
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=0, max_value=2),
-    st.lists(small_rationals, max_size=5),
+    st.lists(small_rationals, min_size=1, max_size=5).filter(any),
     st.integers(min_value=0, max_value=2))
 
 
@@ -505,48 +498,31 @@ class TestLaurentDifferential:
     """Every LaurentSeries operation against NaiveLaurent: lowest
     exponent, coefficients and truncation."""
 
-    zero = LaurentSeries(-1, [], 3)
     pole2 = LaurentSeries(-2, [QQ(0), QQ(0), QQ(2), QQ(-1)], 2)
 
-    @given(laurent_series, laurent_series, small_rationals)
-    @example(zero, pole2, QQ(-3, 2))
-    @example(pole2, LaurentSeries(-1, [QQ(3), QQ(1, 2)], 4), QQ(0))
-    def test_ring_operations(self, x, y, c):
+    @given(laurent_series, laurent_series)
+    @example(pole2, LaurentSeries(-1, [QQ(3), QQ(1, 2)], 4))
+    def test_ring_operations(self, x, y):
         nx, ny = NaiveLaurent.of(x), NaiveLaurent.of(y)
         assert _shape(x) == nx.shape()
-        assert _shape(x + y) == (nx + ny).shape()
-        assert _shape(x - y) == (nx + -ny).shape()
-        assert _shape(-x) == (-nx).shape()
         assert _shape(x * y) == (nx * ny).shape()
-        assert _shape(c * x) == NaiveLaurent(
-            {e: c * v for e, v in nx.terms.items()}, nx.top).shape()
         assert x.agrees_with(y) == nx.agrees_with(ny)
         assert x.agrees_with(x) is None
 
     @given(laurent_series, laurent_series)
     @example(pole2, pole2)
-    @example(zero, pole2)
     @example(LaurentSeries(2, [QQ(1), QQ(-2), QQ(0), QQ(5, 3)], 6),
              LaurentSeries(-1, [QQ(3), QQ(1, 2)], 1))
     @example(LaurentSeries(-2, [QQ(1, 2), QQ(4)], 0),
              LaurentSeries(1, [QQ(-2), QQ(0), QQ(7)], 6))
     def test_division(self, x, y):
-        # every draw also divides the zero series of x's truncation
-        zero_x = LaurentSeries(x.truncation + 1, [], x.truncation)
-        if y.is_zero():
-            for num in (x, zero_x):
-                with pytest.raises(ZeroConstantTerm):
-                    num / y
-            return
         ny = NaiveLaurent.of(y)
-        for num in (x, zero_x):
-            assert _shape(num / y) == (NaiveLaurent.of(num) * ny.inverse()).shape()
+        assert _shape(x / y) == (NaiveLaurent.of(x) * ny.inverse()).shape()
         assert _shape(1 / y) == ny.inverse().shape()
 
     @given(laurent_series, st.integers(min_value=0, max_value=4))
-    @example(zero, 3)
     @example(pole2, 2)
-    def test_power_and_theta(self, x, k):
+    def test_power(self, x, k):
         nx = NaiveLaurent.of(x)
         assert _shape(x ** k) == nx.power(k).shape()
         if k:
@@ -554,7 +530,6 @@ class TestLaurentDifferential:
             for _ in range(k - 1):
                 product = product * x
             assert _shape(x ** k) == _shape(product)
-        assert _shape(x.theta()) == nx.theta().shape()
 
 
 class TestSerialization:

@@ -21,6 +21,20 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_no_package_module_imports_typing():
+    # annotations are never evaluated (from __future__ import
+    # annotations), so builtin generics and X | None serve, and the
+    # value types stand on collections.namedtuple
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "typing" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "typing"]
+    assert found == []
+
+
 def test_every_top_level_name_is_used():
     # a top-level function or class that no other package code names
     # (by Name, Attribute or import, __init__.py re-exports included) is
