@@ -97,7 +97,8 @@ def kernels(tri, n):
     """(kernel, implementation, thunk) for every timed call on tri at
     order n; the operands are built once, outside the timing."""
     params = HGParams.for_type(tri)
-    f, g = series_f(params, n), series_g(params, n)
+    f = series_f(params, n)
+    g = series_g(params, f)
     d = series.divide(g, f)
     unit = series.exp_series(d)
     q = unit.shift(1)

@@ -67,17 +67,19 @@ VERIFY_ORDER = 60
 
 def parse_primes(spec: str):
     """Inclusive 'lo..hi' range filtered by primality, or one prime; a
-    range without a prime is rejected."""
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        found = primes(int(lo), int(hi))
-        if not found:
-            raise ValueError(f"no prime in {spec}")
-        return found
-    p = int(spec)
-    if primes(p, p) != [p]:
-        raise ValueError(f"{p} is not prime")
-    return [p]
+    range without a prime, a non-prime and any other text are rejected."""
+    lo, dots, hi = spec.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(
+            f"expected a prime or lo..hi, got {spec!r}") from None
+    found = primes(lo, hi)
+    if dots and not found:
+        raise ValueError(f"no prime in {spec}")
+    if not dots and found != [lo]:
+        raise ValueError(f"{lo} is not prime")
+    return found
 
 
 def emit(payload, fmt: str = "json"):
@@ -98,8 +100,7 @@ def emit(payload, fmt: str = "json"):
 def _series_catalog(tri: TriangleType, name: str, n_order: int):
     name = name.lower()
     if name in ("t1", "t2", "t3"):
-        sol = solve_halphen(tri, max(n_order, 2))
-        return getattr(sol, name).retruncate(n_order).to_json()
+        return getattr(solve_halphen(tri, n_order), name).to_json()
     if name == "j":
         sol = solve_halphen(tri, n_order + 2)
         return hauptmodul_from_halphen(sol).to_json()
@@ -107,14 +108,14 @@ def _series_catalog(tri: TriangleType, name: str, n_order: int):
         k, odd = divmod(int(name[3:]), 2)
         if odd or k < 1:
             raise ValueError("generator weights are even and at least 2")
-        sol = solve_halphen(tri, max(n_order, 2))
+        sol = solve_halphen(tri, n_order)
         builder = eisenstein_one if name[1] == "1" else eisenstein_two
-        return builder(range(k, k + 1), sol)[0].retruncate(n_order).to_json()
+        return builder(range(k, k + 1), sol)[0].to_json()
     params = HGParams.for_type(tri)
     if name == "f":
         return series_f(params, n_order).to_json()
     if name == "g":
-        return series_g(params, n_order).to_json()
+        return series_g(params, series_f(params, n_order)).to_json()
     if name == "d":
         return schwarz_map(params, n_order).to_json()
     if name == "qmap":

@@ -118,7 +118,7 @@ HalphenSolution = namedtuple("HalphenSolution", "triangle t1 t2 t3")
 
 
 def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
-    """Solve the Halphen system to order n_order for the given type.
+    """Solve the Halphen system to order n_order >= 0 for the given type.
 
     The order-1 system, a t1_1 + (1-a) t3_1 = 0 (twice, since c = 1 - a)
     and t2_1 = (1-b)(t1_1 + t3_1), leaves one scale free; it is fixed by
@@ -132,8 +132,6 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     and their denominators.  This is cheap because d stays near the
     largest single denominator (see the module docstring).
     """
-    if n_order < 2:
-        raise ValueError("need n_order >= 2")
     params = HGParams.for_type(tri)
     a, b, c = params.a, params.b, 1 - params.a
     kappa = tri.kappa
@@ -194,8 +192,7 @@ def hauptmodul_from_halphen(sol: HalphenSolution) -> LaurentSeries:
         raise DegenerateDenominator("t3 - t1 must vanish at q = 0")
     if den.truncation < 1 or den.coeffs[1] == 0:
         raise DegenerateDenominator("t3 - t1 has zero linear coefficient")
-    return (LaurentSeries.from_truncated(num)
-            / LaurentSeries.from_truncated(den))
+    return LaurentSeries(num) / LaurentSeries(den)
 
 
 def generator_range(tri: TriangleType, kind: int) -> range:

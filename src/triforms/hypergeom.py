@@ -28,23 +28,24 @@ def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, n_order)
 
 
-def series_g(params: HGParams, n_order: int) -> TruncatedSeries:
-    """G(a,b|z): B_n = A_n * sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i))."""
+def series_g(params: HGParams, f: TruncatedSeries) -> TruncatedSeries:
+    """G(a,b|z) to the order of f = F(a,b|z) = sum A_n z^n:
+    B_n = A_n * sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i))."""
     a, b = params.a, params.b
-    f = series_f(params, n_order)
     partial = ZERO
     coeffs = [ZERO]
-    for n in range(1, n_order + 1):
+    for n in range(1, f.truncation + 1):
         i = n - 1
         partial += ONE / (a + i) + ONE / (b + i) - QQ(2, 1 + i)
         coeffs.append(f.coeffs[n] * partial)
-    return TruncatedSeries(coeffs, n_order)
+    return TruncatedSeries(coeffs, f.truncation)
 
 
 def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:
     """D = G/F; the z-coefficient is sigma - 2*tau with sigma = a + b,
     tau = a*b."""
-    return divide(series_g(params, n_order), series_f(params, n_order))
+    f = series_f(params, n_order)
+    return divide(series_g(params, f), f)
 
 
 def mirror_map(params: HGParams, n_order: int) -> TruncatedSeries:
@@ -54,7 +55,9 @@ def mirror_map(params: HGParams, n_order: int) -> TruncatedSeries:
 
 def hauptmodul_from_mirror(q_of_z: TruncatedSeries, kappa) -> LaurentSeries:
     """J = 1/z(kappa*q) for z(q) the compositional inverse of the mirror
-    map q_of_z: a Laurent series with a first-order pole.  Agreement with
-    the Halphen J is checked separately in the verification lab."""
-    return 1 / LaurentSeries.from_truncated(
-        scale_argument(reversion(q_of_z), kappa))
+    map q_of_z: a Laurent series with a first-order pole, the quotient
+    of the power series 1 and z at the truncation of z, which keeps J
+    to q^(N-2) for z to q^N.  Agreement with the Halphen J is checked
+    separately in the verification lab."""
+    z = scale_argument(reversion(q_of_z), kappa)
+    return LaurentSeries(TruncatedSeries.one(z.truncation)) / LaurentSeries(z)

@@ -153,9 +153,8 @@ def generators_via_j(kind: int, ks: range, j: LaurentSeries
     if not ks:
         return []
     b = j.body
-    j_minus_one = LaurentSeries.from_truncated(
-        b - TruncatedSeries.identity(b.truncation), -1)
-    jdot = LaurentSeries.from_truncated(b - theta_derivative(b), -1)
+    j_minus_one = LaurentSeries(b - TruncatedSeries.identity(b.truncation), -1)
+    jdot = LaurentSeries(b - theta_derivative(b), -1)
     if kind == 1:
         return power_ladder(j_minus_one / j, jdot / j_minus_one, ks)
     return power_ladder(j / j_minus_one, jdot / j, ks)
@@ -180,7 +179,7 @@ def checked_generators(tri: TriangleType, n_order: int
                 raise OrderShortfall(
                     f"{label} for {tri}: the two formulas reach "
                     f"q^{top}, not q^{n_order}")
-            mismatch = alt.agrees_with(LaurentSeries.from_truncated(series))
+            mismatch = alt.agrees_with(LaurentSeries(series))
             if mismatch is not None:
                 raise FormulaMismatch(
                     f"E^({kind})_{2 * k} for {tri}: t-product and "

@@ -16,6 +16,10 @@ bits of the common denominator.  For the series built here, Newton's
 mixed-height approximations included, it stayed within 7 % of the
 largest single denominator up to N = 240 (scripts/bench_kernels.py);
 unrelated tall denominators would make it up to N times taller.
+
+A Laurent series, LaurentSeries(s, shift), is q^shift times a power
+series s.  The package forms J and its generators from such series by
+products, quotients and powers only.
 """
 
 from __future__ import annotations
@@ -55,10 +59,6 @@ class TruncatedSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation: int) -> "TruncatedSeries":
-        return cls([], truncation)
-
-    @classmethod
     def one(cls, truncation: int) -> "TruncatedSeries":
         return cls([ONE], truncation)
 
@@ -73,22 +73,10 @@ class TruncatedSeries:
     def constant_term(self):
         return self.coeffs[0]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def agrees_with(self, other: "TruncatedSeries") -> int | None:
-        """First index (up to the common truncation) where coefficients
-        differ, or None if they agree."""
-        n = min(self.truncation, other.truncation)
-        for i in range(n + 1):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
 
     def __repr__(self):
         head = ", ".join(rational_to_str(c) for c in self.coeffs[:6])
@@ -105,8 +93,6 @@ class TruncatedSeries:
         n = min(self.truncation, other.truncation)
         return TruncatedSeries(
             [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries([-c for c in self.coeffs], self.truncation)
@@ -144,13 +130,6 @@ class TruncatedSeries:
             return self if k else TruncatedSeries.one(self.truncation)
         half = self ** (k // 2)
         return half * half * self if k & 1 else half * half
-
-    def __truediv__(self, other):
-        if is_rational(other):
-            return self * (ONE / QQ(other))
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return divide(self, other)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0), keeping the truncation order."""
@@ -367,34 +346,26 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
 # --------------------------------------------------------------------------
 
 class LaurentSeries:
-    """Sum of c_e q^e for lowest_exponent <= e <= truncation, held as
-    q^lowest_exponent times a unit power series body: the coefficient at
-    the lowest exponent is nonzero (leading zeros are stripped on
-    construction), so a window with no nonzero coefficient is rejected
-    and there is no zero Laurent series.  Products, quotients and powers
-    are done on bodies by TruncatedSeries."""
+    """LaurentSeries(s, shift) is q^shift s for a TruncatedSeries s, so
+    its truncation is s.truncation + shift.  It is held as
+    q^lowest_exponent times a unit power series body: leading zeros of s
+    are stripped, so an all-zero s is rejected and there is no zero
+    Laurent series.  Products, quotients and powers are done on bodies
+    by TruncatedSeries."""
 
     __slots__ = ("lowest_exponent", "body", "truncation")
 
-    def __init__(self, lowest_exponent: int, coeffs, truncation: int):
-        coeffs = list(coeffs)
-        width = truncation - lowest_exponent + 1
-        lead = next((i for i, c in enumerate(coeffs[:max(width, 0)])
-                     if QQ(c) != 0), None)
+    def __init__(self, s: TruncatedSeries, shift: int = 0):
+        lead = next((i for i, c in enumerate(s.coeffs) if c != 0), None)
         if lead is None:
             raise ValueError("no nonzero coefficient through the truncation")
-        object.__setattr__(self, "lowest_exponent", lowest_exponent + lead)
-        object.__setattr__(self, "body",
-                           TruncatedSeries(coeffs[lead:], width - lead - 1))
-        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "lowest_exponent", shift + lead)
+        object.__setattr__(self, "body", TruncatedSeries(
+            s.coeffs[lead:], s.truncation - lead))
+        object.__setattr__(self, "truncation", s.truncation + shift)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
-
-    @classmethod
-    def from_truncated(cls, s: TruncatedSeries, shift: int = 0) -> "LaurentSeries":
-        """View a power series as Laurent, optionally shifted by q^shift."""
-        return cls(shift, s.coeffs, s.truncation + shift)
 
     @property
     def coeffs(self) -> tuple:
@@ -435,28 +406,19 @@ class LaurentSeries:
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return LaurentSeries.from_truncated(
-            self.body * other.body,
-            self.lowest_exponent + other.lowest_exponent)
+        return LaurentSeries(self.body * other.body,
+                             self.lowest_exponent + other.lowest_exponent)
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers: divide explicitly")
-        return LaurentSeries.from_truncated(
-            self.body ** k, k * self.lowest_exponent)
+        return LaurentSeries(self.body ** k, k * self.lowest_exponent)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return LaurentSeries.from_truncated(
-            divide(self.body, other.body),
-            self.lowest_exponent - other.lowest_exponent)
-
-    def __rtruediv__(self, other):
-        if not is_rational(other):
-            return NotImplemented
-        # a window as wide as the body keeps 1/self at full precision
-        return LaurentSeries(0, [other], self.body.truncation) / self
+        return LaurentSeries(divide(self.body, other.body),
+                             self.lowest_exponent - other.lowest_exponent)
 
     def to_json(self) -> dict:
         return {

@@ -5,8 +5,6 @@ coefficient loops that the Newton kernels of divide and exp_series
 and the integer Halphen solve replaced, and the per-weight generator
 builder that the power ladder replaced."""
 
-from typing import Optional, Tuple
-
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
 from triforms.halphen import HalphenSolution, HGParams, TriangleType
 from triforms.hypergeom import mirror_map, series_f
@@ -52,16 +50,14 @@ def exp_by_recurrence(u: TruncatedSeries) -> TruncatedSeries:
 
 def solve_halphen_by_fractions(tri: TriangleType,
                                n_order: int) -> HalphenSolution:
-    """Solve the Halphen system to order n_order for the given type, with
-    every coefficient operation on reduced rationals.
+    """Solve the Halphen system to order n_order >= 0 for the given type,
+    with every coefficient operation on reduced rationals.
 
     The order-1 system, a t1_1 + (1-a) t3_1 = 0 (twice, since c = 1 - a)
     and t2_1 = (1-b)(t1_1 + t3_1), leaves one scale free; it is fixed by
     t3_1 - t1_1 = kappa, so that the Halphen J matches the
     hypergeometric route.
     """
-    if n_order < 2:
-        raise ValueError("need n_order >= 2")
     params = HGParams.for_type(tri)
     a, b, c = params.a, params.b, 1 - params.a
     kappa = tri.kappa
@@ -128,20 +124,15 @@ def complement(params: HGParams) -> HGParams:
     return HGParams(1 - params.b, 1 - params.a)
 
 
-def euler_identity_check(params: HGParams, n_order: int) -> Tuple[bool, Optional[int]]:
-    """Check F(a,b|z) = (1-z)^(1-a-b) F(1-a,1-b|z) to order n_order,
-    and the induced equality of the two mirror maps q(a,b|z) and
-    q(1-a,1-b|z).  Returns (holds, first failing index or None)."""
+def euler_identity_check(params: HGParams, n_order: int) -> bool:
+    """Whether F(a,b|z) = (1-z)^(1-a-b) F(1-a,1-b|z) to order n_order,
+    and with it the induced equality of the two mirror maps q(a,b|z) and
+    q(1-a,1-b|z)."""
     comp = complement(params)
     lhs = series_f(params, n_order)
     rhs = binomial_series(1 - params.a - params.b, n_order) * series_f(comp, n_order)
-    idx = lhs.agrees_with(rhs)
-    if idx is not None:
-        return False, idx
-    idx = mirror_map(params, n_order).agrees_with(mirror_map(comp, n_order))
-    if idx is not None:
-        return False, idx
-    return True, None
+    return (lhs == rhs
+            and mirror_map(params, n_order) == mirror_map(comp, n_order))
 
 
 def hypergeometric_operator_residual(params: HGParams,

@@ -50,6 +50,20 @@ class TestParsePrimes:
         with pytest.raises(ValueError):
             parse_primes("15")
 
+    @pytest.mark.parametrize("spec", ["1..2..3", "5..", "..7", "", "x"])
+    def test_malformed_text_is_named(self, spec):
+        with pytest.raises(ValueError) as raised:
+            parse_primes(spec)
+        assert str(raised.value) == (
+            f"expected a prime or lo..hi, got {spec!r}")
+
+    @pytest.mark.parametrize("spec", ["1..2..3", "5.."])
+    def test_malformed_range_is_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "classify", "--type", "2,3",
+                             "--primes", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected a prime or lo..hi, got {spec!r}\n"
+
 
 class TestExpand:
     def test_t2_low_order(self, capsys):

@@ -14,7 +14,8 @@ from triforms.halphen import (
     solve_halphen,
 )
 from triforms.rationals import QQ
-from triforms.series import TruncatedSeries, divide, theta_derivative
+from triforms.series import (
+    LaurentSeries, TruncatedSeries, divide, theta_derivative)
 
 from oracles import (
     eisenstein_by_powering, halphen_residuals, solve_halphen_by_fractions)
@@ -132,7 +133,7 @@ class TestSolve:
         for tri in SAMPLE_TYPES:
             sol = solve_halphen(tri, 25)
             for res in halphen_residuals(sol):
-                assert res.is_zero()
+                assert not any(res.coeffs)
 
 
 @pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
@@ -149,7 +150,7 @@ def test_closed_form_order_one(tri):
     assert a * t11 + (1 - a) * t31 == 0
     assert t21 == (1 - b) * (t11 + t31)
     for res in halphen_residuals(sol):
-        assert res.is_zero()
+        assert not any(res.coeffs)
 
 
 def _assert_same_solution(tri, n_order):
@@ -161,7 +162,7 @@ def _assert_same_solution(tri, n_order):
     assert fast.t3 == loop.t3
 
 
-@pytest.mark.parametrize("n_order", [2, 3, 40])
+@pytest.mark.parametrize("n_order", [0, 1, 2, 3, 40])
 @pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
 def test_integer_solve_matches_fraction_loop(tri, n_order):
     """The solve on integer numerators over one denominator equals the
@@ -184,7 +185,8 @@ class TestHauptmodul:
     def test_reciprocal_linear_coefficient(self):
         sol = solve_halphen(TriangleType(2, 3), 10)
         j = hauptmodul_from_halphen(sol)
-        assert (1 / j).coefficient(1) == 72
+        one = LaurentSeries(TruncatedSeries.one(j.body.truncation))
+        assert (one / j).coefficient(1) == 72
 
     def test_degenerate_denominator_guard(self):
         sol = solve_halphen(TriangleType(2, 3), 5)
@@ -258,5 +260,5 @@ class TestDerivativeIdentities:
             t12 = divide(jdot, b)
             t32 = divide(jdot, b - TruncatedSeries.identity(b.truncation))
             assert t12.truncation == t32.truncation == 14
-            assert t12.agrees_with(sol.t1 - sol.t2) is None
-            assert t32.agrees_with(sol.t3 - sol.t2) is None
+            assert t12 == (sol.t1 - sol.t2).retruncate(14)
+            assert t32 == (sol.t3 - sol.t2).retruncate(14)

@@ -2,11 +2,24 @@
 
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "triforms"
+
+
+def _names(node):
+    """Every name that node and its children mention: Name ids,
+    Attribute attrs and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
 
 
 def test_no_assert_in_package():
@@ -46,20 +59,34 @@ def test_every_top_level_name_is_used():
                 stmt, (ast.FunctionDef, ast.ClassDef)) else None)
             if own:
                 defined[own] = path.name
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if name != own:
-                    used.add(name)
+            used.update(name for name in _names(stmt) if name != own)
     assert defined
     assert sorted(f"{path}:{name}" for name, path in defined.items()
                   if name not in used) == []
+
+
+def test_every_method_is_used():
+    # the same scan for the functions of each class body (methods,
+    # properties and classmethods): one that no package code names
+    # outside its own def is dead surface.  Dunder methods serve their
+    # protocol, and a name shared with a used method is out of reach
+    paths = sorted(SRC.glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in paths]
+    everywhere = Counter(name for tree in trees for name in _names(tree))
+    methods, unused = 0, []
+    for path, tree in zip(paths, trees):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, ast.FunctionDef)
+                        or fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                methods += 1
+                if everywhere[fn.name] == Counter(_names(fn))[fn.name]:
+                    unused.append(f"{path.name}:{cls.name}.{fn.name}")
+    assert methods
+    assert unused == []
 
 
 def test_every_parameter_is_read():
