@@ -13,15 +13,15 @@ repository root:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --out BENCH.json
 
-Each kernel is first run once untimed with series._common_denominator
+Each kernel is first run once untimed with TruncatedSeries.__mul__
 wrapped, to record the coefficient heights: the largest bits of any
 numerator and denominator of the result (of t1, t2 and t3 together for
-a solve), and the largest common denominator any packed product
-cleared its operands to (with its excess over the largest single
-denominator of that operand).  It is then
-timed unwrapped, once, or five times keeping the fastest when one run
-takes under half a second.  The JSON also records the rational backend,
-the Python version, the platform and the src/ line count.
+a solve), and the largest denominator den any series product packed an
+operand over (with its excess over the largest single reduced
+denominator of that operand).  It is then timed unwrapped, once, or
+five times keeping the fastest when one run takes under half a second.
+The JSON also records the rational backend, the Python version, the
+platform and the src/ line count.
 """
 
 import argparse
@@ -50,26 +50,31 @@ QUICK_RUNS = 5
 
 
 class Heights:
-    """Largest common denominator the packed product clears to, read by
-    wrapping series._common_denominator for the duration of a with."""
+    """Largest denominator a series product packs an operand over, read
+    from the operands' own den by wrapping TruncatedSeries.__mul__ for
+    the duration of a with."""
 
     def __enter__(self):
         self.common_bits = self.excess_bits = None
-        self._original = original = series._common_denominator
+        self._original = original = series.TruncatedSeries.__mul__
 
-        def recording(coeffs):
-            ints, den = original(coeffs)
-            single = max(numden(c)[1].bit_length() for c in coeffs)
-            self.common_bits = max(self.common_bits or 0, den.bit_length())
-            self.excess_bits = max(self.excess_bits or 0,
-                                   den.bit_length() - single)
-            return ints, den
+        def recording(a, b):
+            if isinstance(b, series.TruncatedSeries):
+                n = min(a.truncation, b.truncation)
+                for packed in (a.retruncate(n), b.retruncate(n)):
+                    bits = packed.den.bit_length()
+                    single = max(numden(c)[1].bit_length()
+                                 for c in packed.coeffs)
+                    self.common_bits = max(self.common_bits or 0, bits)
+                    self.excess_bits = max(self.excess_bits or 0,
+                                           bits - single)
+            return original(a, b)
 
-        series._common_denominator = recording
+        series.TruncatedSeries.__mul__ = recording
         return self
 
     def __exit__(self, *exc):
-        series._common_denominator = self._original
+        series.TruncatedSeries.__mul__ = self._original
 
 
 def max_bits(result):

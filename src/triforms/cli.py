@@ -104,7 +104,7 @@ def _series_catalog(tri: TriangleType, name: str, n_order: int):
     if name == "j":
         sol = solve_halphen(tri, n_order + 2)
         return hauptmodul_from_halphen(sol).to_json()
-    if name.startswith("e1_") or name.startswith("e2_"):
+    if name[:3] in ("e1_", "e2_") and name[3:].removeprefix("-").isdecimal():
         k, odd = divmod(int(name[3:]), 2)
         if odd or k < 1:
             raise ValueError("generator weights are even and at least 2")

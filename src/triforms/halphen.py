@@ -20,8 +20,8 @@ denominator d, so the convolutions that feed each order are integer
 dot products and only the three new coefficients are reduced
 rationals.  That is cheap while d stays near the largest single
 denominator: within a bit for most types, and at most 12 % taller over
-every type with m1, m2 <= 12 at N = 40 and 102.  The reduced series are
-built once, at the end.
+every type with m1, m2 <= 12 at N = 40 and 102.  The series are built
+once, at the end, straight from those numerators.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import mul
 
 from .errors import DegenerateDenominator, InvariantViolation
 from .rationals import QQ, ZERO, numden
-from .series import LaurentSeries, TruncatedSeries, power_ladder
+from .series import LaurentSeries, TruncatedSeries, power_ladder, series_over
 
 INFINITY = None  # m2 = infinity marker
 
@@ -77,11 +77,13 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
     @classmethod
     def parse(cls, text: str) -> "TriangleType":
         """Parse 'm1,m2' with 'inf' allowed for m2."""
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'm1,m2', got {text!r}")
-        m1 = int(parts[0])
-        m2 = INFINITY if parts[1].strip().lower() == "inf" else int(parts[1])
+        try:
+            m1, m2 = text.split(",")
+            m1 = int(m1)
+            m2 = INFINITY if m2.strip().lower() == "inf" else int(m2)
+        except ValueError:
+            raise ValueError(f"expected 'm1,m2' of integers, m2 may be "
+                             f"'inf', got {text!r}") from None
         return cls(m1, m2)
 
 
@@ -178,9 +180,9 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
 
     return HalphenSolution(
         triangle=tri,
-        t1=TruncatedSeries([QQ(x, d) for x in t1], n_order),
-        t2=TruncatedSeries([QQ(x, d) for x in t2], n_order),
-        t3=TruncatedSeries([QQ(x, d) for x in t3], n_order),
+        t1=series_over(t1, d, n_order),
+        t2=series_over(t2, d, n_order),
+        t3=series_over(t3, d, n_order),
     )
 
 
@@ -190,7 +192,7 @@ def hauptmodul_from_halphen(sol: HalphenSolution) -> LaurentSeries:
     den = sol.t3 - sol.t1
     if den.constant_term != 0:
         raise DegenerateDenominator("t3 - t1 must vanish at q = 0")
-    if den.truncation < 1 or den.coeffs[1] == 0:
+    if den.truncation < 1 or den.nums[1] == 0:
         raise DegenerateDenominator("t3 - t1 has zero linear coefficient")
     return LaurentSeries(num) / LaurentSeries(den)
 

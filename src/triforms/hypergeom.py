@@ -34,10 +34,9 @@ def series_g(params: HGParams, f: TruncatedSeries) -> TruncatedSeries:
     a, b = params.a, params.b
     partial = ZERO
     coeffs = [ZERO]
-    for n in range(1, f.truncation + 1):
-        i = n - 1
+    for i, c in enumerate(f.coeffs[1:]):
         partial += ONE / (a + i) + ONE / (b + i) - QQ(2, 1 + i)
-        coeffs.append(f.coeffs[n] * partial)
+        coeffs.append(c * partial)
     return TruncatedSeries(coeffs, f.truncation)
 
 

@@ -1,10 +1,10 @@
 """Exact rational scalars: construction, p-adic valuation, serialization.
 
-Every coefficient in this package is an arbitrary-precision reduced
-fraction.  gmpy2's mpq is used when available (about 5x faster than
-fractions.Fraction); the two are interchangeable through the QQ
-constructor below, and nothing downstream depends on which backend is
-active.
+Every scalar here is an arbitrary-precision reduced fraction (a series
+holds integers over one denominator).  gmpy2's mpq is used when
+available (about 5x faster than fractions.Fraction); the two are
+interchangeable through the QQ constructor below, and nothing
+downstream depends on which backend is active.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ def is_rational(x) -> bool:
 
 def numden(x):
     """(numerator, denominator) of a reduced rational, as Python ints."""
-    x = _backend(x)
+    if not isinstance(x, _backend):
+        x = _backend(x)
     return int(x.numerator), int(x.denominator)
 
 
@@ -53,21 +54,6 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def padic_valuation(x, p: int):
-    """v_p of a rational: v_p(num) - v_p(den) on the reduced fraction.
-
-    Returns None for x = 0 (the conventional +infinity).
-    """
-    num, den = numden(x)
-    if num == 0:
-        return None
-    if num % p == 0:
-        return int_valuation(num, p)
-    if den % p == 0:
-        return -int_valuation(den, p)
-    return 0
 
 
 def primes(lo: int, hi: int) -> list:

@@ -1,21 +1,22 @@
 """Exact truncated power series and Laurent series over the rationals.
 
-All series carry an explicit truncation order and immutable coefficient
-tuples; every operation is a pure function returning a fresh series.
+A TruncatedSeries c_0 + c_1 q + ... + c_N q^N is held as integer
+numerators nums over one positive denominator den, c_i = nums[i] / den
+(FLINT's fmpq_poly, with a truncation), always canonical:
+gcd(den, *nums) = 1, so den is the lcm of the reduced denominators and
+equal series have equal fields.  Every operation works on the integers,
+divides out one content gcd and returns a fresh series; reduced
+rationals are built only when .coeffs is read (JSON, repr, tests).
 Binary operations truncate at the minimum of the operand truncations,
 never silently extending.  There is no floating point anywhere.
 
-The series product clears each operand to integers over one common
-denominator, packs each into a single integer with one signed slot per
-coefficient (Kronecker substitution), does one big-integer multiply,
-and unpacks the slots.  divide, exp_series, log_series and reversion
-are Newton iterations on that product, each step a few products at a
-doubled order (Brent and Kung, J. ACM 25, 1978); exp_series carries
-1/exp(u) along, so no step divides.  A product's cost grows with the
-bits of the common denominator.  For the series built here, Newton's
-mixed-height approximations included, it stayed within 7 % of the
-largest single denominator up to N = 240 (scripts/bench_kernels.py);
-unrelated tall denominators would make it up to N times taller.
+The product packs each operand's numerators into one integer, a signed
+slot per coefficient (Kronecker substitution), does one big-integer
+multiply and unpacks the slots over the product of the denominators;
+its cost grows with the bits of den.  divide, exp_series, log_series
+and reversion are Newton iterations on it, each step a few products at
+a doubled order (Brent and Kung, J. ACM 25, 1978); exp_series carries
+1/exp(u) along, so no step divides.
 
 A Laurent series, LaurentSeries(s, shift), is q^shift times a power
 series s.  The package forms J and its generators from such series by
@@ -25,7 +26,7 @@ products, quotients and powers only.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     ConstantTermNotOne,
@@ -34,24 +35,22 @@ from .errors import (
     ZeroConstantTerm,
 )
 from .rationals import (
-    ONE, QQ, ZERO, is_rational, numden, padic_valuation, rational_to_str)
+    ONE, QQ, ZERO, int_valuation, is_rational, numden, rational_to_str)
 
 
 class TruncatedSeries:
-    """c_0 + c_1 q + ... + c_N q^N with exact rational coefficients."""
+    """c_0 + c_1 q + ... + c_N q^N with exact rational coefficients
+    c_i = nums[i] / den, in canonical form (see the module docstring)."""
 
-    __slots__ = ("coeffs", "truncation")
+    __slots__ = ("nums", "den", "truncation")
 
-    def __init__(self, coeffs, truncation: int | None = None):
-        coeffs = [QQ(c) for c in coeffs]
+    def __new__(cls, coeffs, truncation: int | None = None):
+        pairs = [numden(c) for c in coeffs]
         if truncation is None:
-            truncation = len(coeffs) - 1
+            truncation = len(pairs) - 1
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if len(coeffs) < truncation + 1:
-            coeffs += [ZERO] * (truncation + 1 - len(coeffs))
-        object.__setattr__(self, "coeffs", tuple(coeffs[: truncation + 1]))
-        object.__setattr__(self, "truncation", truncation)
+        return series_over(*_over_lcm(pairs[: truncation + 1]), truncation)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -70,13 +69,20 @@ class TruncatedSeries:
     # -- inspection ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The reduced rational coefficients, built afresh on each read."""
+        den = self.den
+        return tuple(QQ(x, den) for x in self.nums)
+
+    @property
     def constant_term(self):
-        return self.coeffs[0]
+        return QQ(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.truncation == other.truncation and self.coeffs == other.coeffs
+        return (self.truncation == other.truncation
+                and self.den == other.den and self.nums == other.nums)
 
     def __repr__(self):
         head = ", ".join(rational_to_str(c) for c in self.coeffs[:6])
@@ -86,40 +92,30 @@ class TruncatedSeries:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if is_rational(other):
-            other = TruncatedSeries([other], self.truncation)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], n)
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.truncation)
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _sum(self, other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def __neg__(self):
+        return series_over([-x for x in self.nums], self.den, self.truncation)
 
     def __mul__(self, other):
         if is_rational(other):
-            c = QQ(other)
-            return TruncatedSeries([c * x for x in self.coeffs], self.truncation)
+            num, den = numden(other)
+            return series_over([num * x for x in self.nums], self.den * den,
+                               self.truncation)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        a_ints, da = _common_denominator(self.coeffs[: n + 1])
-        b_ints, db = _common_denominator(other.coeffs[: n + 1])
+        a, b = self.retruncate(n), other.retruncate(n)
         # |c_k| <= (n + 1) max|a| max|b| < 2^(width - 1): no slot overflows
-        width = (_max_bits(a_ints) + _max_bits(b_ints)
+        width = (max(map(abs, a.nums)).bit_length()
+                 + max(map(abs, b.nums)).bit_length()
                  + (n + 1).bit_length() + 1)
         slot = (width + 7) // 8  # bytes per slot
-        packed = _pack(a_ints, slot) * _pack(b_ints, slot)
-        den = da * db
-        return TruncatedSeries(
-            [QQ(c, den) for c in _unpack(packed, slot, n + 1)], n)
+        packed = _pack(a.nums, slot) * _pack(b.nums, slot)
+        return series_over(_unpack(packed, slot, n + 1), a.den * b.den, n)
 
     __rmul__ = __mul__
 
@@ -135,15 +131,14 @@ class TruncatedSeries:
         """Multiply by q^k (k >= 0), keeping the truncation order."""
         if k < 0:
             raise ValueError("shift exponent must be >= 0")
-        return TruncatedSeries(
-            [ZERO] * k + list(self.coeffs[: self.truncation + 1 - k]),
-            self.truncation)
+        return series_over(self.nums, self.den, self.truncation, k)
 
     def retruncate(self, n: int) -> "TruncatedSeries":
         """Drop coefficients above order n (n <= current truncation)."""
         if n > self.truncation:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: n + 1], n)
+        return self if n == self.truncation else series_over(
+            self.nums, self.den, n)
 
     # -- serialization ---------------------------------------------------
 
@@ -154,26 +149,57 @@ class TruncatedSeries:
         }
 
 
-# --------------------------------------------------------------------------
-# Packed integer product (Kronecker substitution)
-# --------------------------------------------------------------------------
+def series_over(nums, den: int, truncation: int,
+                shift: int = 0) -> TruncatedSeries:
+    """The canonical series q^shift (nums[0] + nums[1] q + ...) / den
+    through q^truncation, for integers nums and den != 0: terms above
+    the truncation are dropped, missing ones are zero, and the content
+    gcd(den, *nums) is divided out with the sign of den."""
+    nums = ([0] * shift + list(nums))[: truncation + 1]
+    nums += [0] * (truncation + 1 - len(nums))
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    s = object.__new__(TruncatedSeries)
+    object.__setattr__(s, "nums", tuple(nums))
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "truncation", truncation)
+    return s
 
-def _common_denominator(coeffs):
-    """Integers x_i and one denominator d with coeffs[i] = x_i / d."""
-    pairs = [numden(c) for c in coeffs]
+
+def _over_lcm(pairs):
+    """Integers x_i and d = lcm(d_i) with x_i / d = n_i / d_i (d_i > 0)."""
     den = lcm(*(d for _, d in pairs))
     return [x * (den // d) for x, d in pairs], den
 
 
-def _max_bits(ints) -> int:
-    return max(abs(x) for x in ints).bit_length()
+def _sum(a: TruncatedSeries, b, sign: int):
+    """a + sign b, for a series or a rational (constant series) b."""
+    if is_rational(b):
+        b = TruncatedSeries([b], a.truncation)
+    if not isinstance(b, TruncatedSeries):
+        return NotImplemented
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    return series_over([x * sa + y * sb for x, y in zip(a.nums, b.nums)],
+                       den, min(a.truncation, b.truncation))
 
+
+# --------------------------------------------------------------------------
+# Packed integer product (Kronecker substitution)
+# --------------------------------------------------------------------------
 
 def _pack(ints, slot: int) -> int:
-    """sum x_i 2^(8 slot i) for signed x_i with |x_i| < 2^(8 slot)."""
-    pos = b"".join(max(x, 0).to_bytes(slot, "little") for x in ints)
-    neg = b"".join(max(-x, 0).to_bytes(slot, "little") for x in ints)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum x_i 2^(8 slot i) for signed x_i with |x_i| < 2^(8 slot - 1):
+    x_i in two's complement, less the carry each negative one adds."""
+    raw = b"".join([x.to_bytes(slot, "little", signed=True) for x in ints])
+    one, zero = (1).to_bytes(slot, "little"), bytes(slot)
+    carries = b"".join([one if x < 0 else zero for x in ints])
+    return (int.from_bytes(raw, "little")
+            - (int.from_bytes(carries, "little") << (8 * slot)))
 
 
 def _unpack(packed: int, slot: int, count: int):
@@ -200,24 +226,25 @@ def _tail_product(a: TruncatedSeries, r: TruncatedSeries,
                   k: int) -> TruncatedSeries:
     """a r at the truncation of r, for r = O(q^k): only the coefficients
     of r from q^k on are packed."""
-    high = TruncatedSeries(r.coeffs[k:], r.truncation - k)
-    return TruncatedSeries((a * high).coeffs, r.truncation).shift(k)
+    prod = a * series_over(r.nums[k:], r.den, r.truncation - k)
+    return series_over(prod.nums, prod.den, r.truncation, k)
 
 
 def _refine_inverse(f: TruncatedSeries, g: TruncatedSeries,
                     order: int) -> TruncatedSeries:
     """1/f through q^order < 2k from g = 1/f through q^(k-1), as
-    g + g (1 - f g): the correction is O(q^k)."""
+    g - g (f g - 1): the correction is O(q^k)."""
     k = g.truncation + 1
-    g = TruncatedSeries(g.coeffs, order)
-    return g + _tail_product(g, 1 - f * g, k)
+    g = series_over(g.nums, g.den, order)
+    return g - _tail_product(g, f * g - 1, k)
 
 
 def _theta_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """c_k -> c_k / k on a series with zero constant term."""
-    return TruncatedSeries(
-        [ZERO] + [c / k for k, c in enumerate(s.coeffs[1:], 1)],
-        s.truncation)
+    """c_k -> c_k / k on a series with zero constant term: x_k / k is
+    reduced by the small gcd(x_k, k) before the common denominator."""
+    nums, den = _over_lcm([(0, 1)] + [
+        (x // (g := gcd(x, k)), k // g) for k, x in enumerate(s.nums[1:], 1)])
+    return series_over(nums, s.den * den, s.truncation)
 
 
 def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -227,13 +254,14 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     Karp-Markstein step: quot = num g through q^h, and
     quot + g (num - den quot) through q^n, as the residual is O(q^(h+1)).
     """
-    if den.constant_term == 0:
+    if den.nums[0] == 0:
         raise ZeroConstantTerm("denominator has zero constant term")
     n = min(num.truncation, den.truncation)
-    g = TruncatedSeries([ONE / den.constant_term], 0)
+    g = series_over([den.den], den.nums[0], 0)
     while g.truncation < n // 2:
         g = _refine_inverse(den, g, min(2 * g.truncation + 1, n // 2))
-    quot = TruncatedSeries((num * g).coeffs, n)
+    quot = num * g
+    quot = series_over(quot.nums, quot.den, n)
     if n == 0:
         return quot
     return quot + _tail_product(g, num - den * quot, n // 2 + 1)
@@ -248,14 +276,14 @@ def exp_series(u: TruncatedSeries) -> TruncatedSeries:
     right through q^(2m+1), and so e - e theta^-1(w); one reciprocal
     step then brings h to the new order, in place of a division.
     """
-    if u.constant_term != 0:
+    if u.nums[0] != 0:
         raise NonzeroConstantTerm("exp needs constant term 0")
     n = u.truncation
     du = theta_derivative(u)
     e = h = TruncatedSeries.one(0)
     while e.truncation < n:
         k = e.truncation + 1
-        e = TruncatedSeries(e.coeffs, min(2 * k - 1, n))
+        e = series_over(e.nums, e.den, min(2 * k - 1, n))
         w = _tail_product(h, theta_derivative(e) - e * du, k)
         e = e - _tail_product(e, _theta_inverse(w), k)
         if e.truncation < n:
@@ -272,8 +300,8 @@ def log_series(s: TruncatedSeries) -> TruncatedSeries:
 
 def theta_derivative(s: TruncatedSeries) -> TruncatedSeries:
     """theta = q d/dq: c_n -> n c_n."""
-    return TruncatedSeries(
-        [n * c for n, c in enumerate(s.coeffs)], s.truncation)
+    return series_over([n * x for n, x in enumerate(s.nums)], s.den,
+                       s.truncation)
 
 
 def substitute_power(s: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -281,23 +309,19 @@ def substitute_power(s: TruncatedSeries, p: int) -> TruncatedSeries:
     if p < 1:
         raise ValueError("substitution exponent must be >= 1")
     n = s.truncation
-    out = [ZERO] * (n + 1)
-    for i, c in enumerate(s.coeffs):
-        if p * i > n:
-            break
-        out[p * i] = c
-    return TruncatedSeries(out, n)
+    out = [0] * (n + 1)
+    out[::p] = s.nums[: n // p + 1]
+    return series_over(out, s.den, n)
 
 
 def scale_argument(s: TruncatedSeries, kappa) -> TruncatedSeries:
-    """q -> kappa*q: c_n -> kappa^n c_n."""
-    kappa = QQ(kappa)
-    out = []
-    power = ONE
-    for c in s.coeffs:
-        out.append(power * c)
-        power *= kappa
-    return TruncatedSeries(out, s.truncation)
+    """q -> kappa*q: c_n -> kappa^n c_n, for kappa = u/v as
+    c_n u^n v^(N-n) / v^N."""
+    u, v = numden(kappa)
+    n = s.truncation
+    return series_over(
+        [x * u ** i * v ** (n - i) for i, x in enumerate(s.nums)],
+        s.den * v ** n, n)
 
 
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -305,15 +329,21 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
     The partial sum r_k = f_k + f_(k+1) g + ... ends up multiplied by
     g^k = O(q^k), so it is kept only through q^(n-k); with g = q h,
-    r_k = f_k + q (r_(k+1) h) at that order.
+    r_k = f_k + q (r_(k+1) h) at that order, formed over the lcm of
+    the denominators of f and of r_(k+1) h.
     """
-    if g.constant_term != 0:
+    if g.nums[0] != 0:
         raise NonzeroConstantTerm("composition needs inner constant term 0")
     n = min(f.truncation, g.truncation)
-    h = TruncatedSeries(g.coeffs[1:], max(n - 1, 0))
-    result = TruncatedSeries([f.coeffs[n]], 0)
+    h = series_over(g.nums[1:], g.den, max(n - 1, 0))
+    result = series_over([f.nums[n]], f.den, 0)
     for k in range(n - 1, -1, -1):
-        result = TruncatedSeries([f.coeffs[k], *(result * h).coeffs], n - k)
+        tail = result * h
+        den = lcm(f.den, tail.den)
+        scale = den // tail.den
+        result = series_over(
+            [f.nums[k] * (den // f.den), *(x * scale for x in tail.nums)],
+            den, n - k)
     return result
 
 
@@ -326,18 +356,18 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
     one composition at the doubled order and one product; g' = theta(g)/q
     is the derivative of the polynomial g, exact when padded with zeros.
     """
-    if s.constant_term != 0 or s.truncation < 1 or s.coeffs[1] == 0:
+    if s.nums[0] != 0 or s.truncation < 1 or s.nums[1] == 0:
         raise NotInvertible("need s(0) = 0 and nonzero linear coefficient")
     n = s.truncation
-    g = TruncatedSeries([ZERO, ONE / s.coeffs[1]], 1)
+    g = series_over([0, s.den], s.nums[1], 1)
     order = 1  # g is correct through q^order
     while order < n:
         order = min(2 * order, n)
-        work = TruncatedSeries(g.coeffs, order)
+        work = series_over(g.nums, g.den, order)
         residual = (compose(s.retruncate(order), work)
                     - TruncatedSeries.identity(order))
-        dg = TruncatedSeries(theta_derivative(g).coeffs[1:], order)
-        g = work - residual * dg
+        dg = theta_derivative(g)
+        g = work - residual * series_over(dg.nums[1:], dg.den, order)
     return g
 
 
@@ -356,12 +386,12 @@ class LaurentSeries:
     __slots__ = ("lowest_exponent", "body", "truncation")
 
     def __init__(self, s: TruncatedSeries, shift: int = 0):
-        lead = next((i for i, c in enumerate(s.coeffs) if c != 0), None)
+        lead = next((i for i, x in enumerate(s.nums) if x), None)
         if lead is None:
             raise ValueError("no nonzero coefficient through the truncation")
         object.__setattr__(self, "lowest_exponent", shift + lead)
-        object.__setattr__(self, "body", TruncatedSeries(
-            s.coeffs[lead:], s.truncation - lead))
+        object.__setattr__(self, "body", series_over(
+            s.nums[lead:], s.den, s.truncation - lead))
         object.__setattr__(self, "truncation", s.truncation + shift)
 
     def __setattr__(self, name, value):
@@ -377,14 +407,13 @@ class LaurentSeries:
             raise IndexError(f"exponent {e} above truncation {self.truncation}")
         if e < self.lowest_exponent:
             return ZERO
-        return self.coeffs[e - self.lowest_exponent]
+        return QQ(self.body.nums[e - self.lowest_exponent], self.body.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.truncation == other.truncation
-                and self.lowest_exponent == other.lowest_exponent
-                and self.coeffs == other.coeffs)
+        return (self.lowest_exponent == other.lowest_exponent
+                and self.body == other.body)
 
     def agrees_with(self, other: "LaurentSeries") -> int | None:
         """First exponent (up to the common truncation) where the two
@@ -474,12 +503,16 @@ class ValuationProfile(namedtuple("ValuationProfile",
 def valuation_profile(s, p: int, bound: int = 0,
                       start_index: int = 0) -> ValuationProfile:
     """Valuation profile of a TruncatedSeries or LaurentSeries against
-    bound; the coefficient of exponent e gets index start_index + e."""
+    bound; the coefficient of exponent e gets index start_index + e.
+    v_p(x_i / den) is read as v_p(x_i) - v_p(den), with no gcd."""
     if isinstance(s, LaurentSeries):
         start_index += s.lowest_exponent
+        s = s.body
+    v_den = int_valuation(s.den, p)
     return ValuationProfile(
         prime=p,
-        entries=tuple(padic_valuation(c, p) for c in s.coeffs),
+        entries=tuple(None if x == 0 else int_valuation(x, p) - v_den
+                      for x in s.nums),
         start_index=start_index,
         bound=bound,
     )

@@ -8,7 +8,7 @@ builder that the power ladder replaced."""
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
 from triforms.halphen import HalphenSolution, HGParams, TriangleType
 from triforms.hypergeom import mirror_map, series_f
-from triforms.rationals import ONE, QQ, ZERO
+from triforms.rationals import ONE, QQ, ZERO, int_valuation, numden
 from triforms.series import TruncatedSeries, theta_derivative
 
 
@@ -19,12 +19,13 @@ def divide_by_recurrence(num: TruncatedSeries,
         raise ZeroConstantTerm("denominator has zero constant term")
     n = min(num.truncation, den.truncation)
     inv0 = ONE / den.constant_term
+    a, b = num.coeffs, den.coeffs
     out = []
     for k in range(n + 1):
-        acc = num.coeffs[k]
+        acc = a[k]
         for i in range(1, k + 1):
-            if den.coeffs[i] and out[k - i]:
-                acc -= den.coeffs[i] * out[k - i]
+            if b[i] and out[k - i]:
+                acc -= b[i] * out[k - i]
         out.append(acc * inv0)
     return TruncatedSeries(out, n)
 
@@ -38,12 +39,13 @@ def exp_by_recurrence(u: TruncatedSeries) -> TruncatedSeries:
     if u.constant_term != 0:
         raise NonzeroConstantTerm("exp needs constant term 0")
     n = u.truncation
+    c = u.coeffs
     out = [ONE]
     for m in range(1, n + 1):
         acc = ZERO
         for k in range(1, m + 1):
-            if u.coeffs[k] and out[m - k]:
-                acc += k * u.coeffs[k] * out[m - k]
+            if c[k] and out[m - k]:
+                acc += k * c[k] * out[m - k]
         out.append(acc / m)
     return TruncatedSeries(out, n)
 
@@ -160,3 +162,12 @@ def halphen_residuals(sol: HalphenSolution) -> list:
         theta_derivative(t3) - ((c - 1) * (t3 * t1 + t3 * t2 - t1 * t2)
                                 + (a + b - 1) * t3 * t3),
     ]
+
+
+def rational_valuation(x, p: int):
+    """v_p of a rational from its reduced numerator and denominator, or
+    None for x = 0."""
+    num, den = numden(x)
+    if num == 0:
+        return None
+    return int_valuation(num, p) - int_valuation(den, p)

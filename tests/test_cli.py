@@ -100,7 +100,16 @@ class TestExpand:
         assert code == 2
         assert "unknown series" in err
 
-    @pytest.mark.parametrize("series", ["E1_0", "E2_-4", "E2_5"])
+    @pytest.mark.parametrize("series", ["E1_x", "E2_", "E2_4.0"])
+    def test_malformed_generator_weight_is_unknown_series(self, capsys,
+                                                          series):
+        code, out, err = run(capsys, "expand", "--type", "2,5",
+                             "--series", series, "--N", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown series {series.lower()!r}; "
+                              "expected one of")
+
+    @pytest.mark.parametrize("series", ["E1_0", "E2_-4", "E2_5", "E1_3"])
     def test_generator_weight_is_usage_error(self, capsys, series):
         # the weight is checked where it enters, in the user's terms
         code, out, err = run(capsys, "expand", "--type", "2,5",
@@ -383,6 +392,14 @@ class TestExitCodes:
                            "--series", "J")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize("text", ["2,x", "x,5", "2,3,4"])
+    def test_malformed_type_is_named(self, capsys, text):
+        code, out, err = run(capsys, "classify", "--type", text,
+                             "--primes", "5")
+        assert (code, out) == (2, "")
+        assert err == (f"error: expected 'm1,m2' of integers, m2 may be "
+                       f"'inf', got {text!r}\n")
 
     def test_non_hyperbolic_type(self, capsys):
         code, _, _ = run(capsys, "classify", "--type", "2,2",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +13,7 @@ from triforms.errors import (
 )
 from triforms.halphen import HGParams, TriangleType
 from triforms.hypergeom import series_f, series_g
-from triforms.rationals import QQ, padic_valuation, rational_to_str
+from triforms.rationals import QQ, rational_to_str
 from triforms.series import (
     LaurentSeries,
     TruncatedSeries,
@@ -25,6 +26,7 @@ from triforms.series import (
     substitute_power,
     theta_derivative,
     valuation_profile,
+    _theta_inverse,
 )
 
 from conftest import (
@@ -35,7 +37,7 @@ from conftest import (
     unit_series,
     zero_constant_series,
 )
-from oracles import divide_by_recurrence, exp_by_recurrence
+from oracles import divide_by_recurrence, exp_by_recurrence, rational_valuation
 
 
 def ts(*coeffs, N=None):
@@ -54,23 +56,92 @@ def reciprocal(x):
     return LaurentSeries(TruncatedSeries.one(x.body.truncation)) / x
 
 
+# -- the oracle: each operation on the list of Fractions c_0..c_N ------
+
+def fractions(s):
+    return [Fraction(c) for c in s.coeffs]
+
+
+def product(a, b):
+    """Schoolbook convolution at the shorter length."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(min(len(a), len(b)))]
+
+
+def power(a, k):
+    out = [Fraction(int(i == 0)) for i in range(len(a))]
+    for _ in range(k):
+        out = product(out, a)
+    return out
+
+
+def inverse(a):
+    """1/a for a[0] != 0, by the division recurrence."""
+    out = []
+    for k in range(len(a)):
+        acc = int(k == 0) - sum((a[i] * out[k - i] for i in range(1, k + 1)),
+                                Fraction(0))
+        out.append(acc / a[0])
+    return out
+
+
+def theta(a):
+    return [i * c for i, c in enumerate(a)]
+
+
+def theta_inverse(a):
+    return [Fraction(0)] + [c / i for i, c in enumerate(a[1:], 1)]
+
+
+def exponential(u):
+    """exp(u) for u[0] = 0, by n e_n = sum_k k u_k e_(n-k)."""
+    out = [Fraction(1)]
+    for n in range(1, len(u)):
+        out.append(sum((k * u[k] * out[n - k] for k in range(1, n + 1)),
+                       Fraction(0)) / n)
+    return out
+
+
+def composition(f, g):
+    """sum_k f_k g^k for g[0] = 0, each power at the shorter length."""
+    n = min(len(f), len(g))
+    acc, g_k = [Fraction(0)] * n, power(g[:n], 0)
+    for c in f[:n]:
+        acc = [x + c * y for x, y in zip(acc, g_k)]
+        g_k = product(g_k, g[:n])
+    return acc
+
+
+def compositional_inverse(s):
+    """g with s(g) = q, coefficient by coefficient: with g known below
+    q^m and g_m = 0, s(g) has s_1 g_m + (that) at q^m."""
+    g = [Fraction(0)] * len(s)
+    g[1] = 1 / s[1]
+    for m in range(2, len(s)):
+        g[m] = -composition(s[:m + 1], g[:m + 1])[m] / s[1]
+    return g
+
+
+def is_canonical(s):
+    return (len(s.nums) == s.truncation + 1 and s.den > 0
+            and gcd(s.den, *s.nums) == 1)
+
+
+def assert_matches(s, expected):
+    """s is canonical, with exactly the coefficients (and so the
+    truncation) of the list expected."""
+    assert is_canonical(s)
+    assert fractions(s) == expected
+
+
 def naive_product(x, y):
     """Schoolbook convolution over the rationals: the product's oracle."""
-    n = min(x.truncation, y.truncation)
-    return TruncatedSeries(
-        [sum((x.coeffs[i] * y.coeffs[k - i] for i in range(k + 1)), QQ(0))
-         for k in range(n + 1)], n)
+    return TruncatedSeries(product(fractions(x), fractions(y)))
 
 
 def naive_compose(f, g):
     """sum_k f_k g^k, each power truncated at the common order."""
-    n = min(f.truncation, g.truncation)
-    g = g.retruncate(n)
-    acc, power = TruncatedSeries([], n), TruncatedSeries.one(n)
-    for c in f.coeffs[: n + 1]:
-        acc = acc + power * c
-        power = naive_product(power, g)
-    return acc
+    return TruncatedSeries(composition(fractions(f), fractions(g)))
 
 
 # numerators and denominators up to 1100 bits, signs and zeros mixed in
@@ -232,6 +303,28 @@ class TestNewtonKernels:
         assert e == exp_by_recurrence(d)
         assert log_series(e) == d
 
+    def test_kernels_never_read_reduced_coefficients(self, monkeypatch):
+        # the kernels and the valuation profile run on nums and den
+        # alone: reading .coeffs raises once F and G are built
+        params = HGParams.for_type(TriangleType(2, 5))
+        f = series_f(params, 30)
+        g = series_g(params, f)
+
+        def refuse(s):
+            raise AssertionError("a kernel read .coeffs")
+
+        monkeypatch.setattr(TruncatedSeries, "coeffs", property(refuse))
+        d = divide(g, f)
+        unit = exp_series(d)
+        z = reversion(unit.shift(1))
+        identity = compose(unit.shift(1), z)
+        profile = valuation_profile(unit, 11)
+        monkeypatch.undo()
+        assert all(map(is_canonical, (d, unit, z, identity)))
+        assert d == divide_by_recurrence(g, f)
+        assert identity == TruncatedSeries.identity(30)
+        assert profile.holds() and len(profile.entries) == 31
+
     @given(st.integers(min_value=-3, max_value=3),
            any_order_series.filter(lambda s: any(s.coeffs)),
            st.integers(min_value=-3, max_value=3), any_order_denominators)
@@ -243,6 +336,72 @@ class TestNewtonKernels:
         expected = NaiveLaurent.of(x) * NaiveLaurent.of(y).inverse()
         assert _shape(x / y) == expected.shape()
         assert (x / y).body == divide_by_recurrence(x.body, y.body)
+
+
+revertible_series = st.builds(
+    lambda c, s: TruncatedSeries([0, c, *s.coeffs[2:]], max(s.truncation, 1)),
+    nonzero_coefficients,
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: series(n, mixed_coefficients)))
+
+
+class TestFractionListDifferential:
+    """Every series operation against the same operation on the list of
+    Fractions c_0..c_N, over mixed truncations, zero coefficients and
+    unrelated tall denominators; every result must also be canonical."""
+
+    @given(any_order_series, any_order_series, mixed_coefficients,
+           st.integers(min_value=0, max_value=4))
+    @example(ts("1/2", "1/3", N=1), ts("-1/2", "2/3", "1/6", N=2), QQ(6), 3)
+    def test_ring_operations(self, x, y, c, k):
+        a, b = fractions(x), fractions(y)
+        assert_matches(x + y, [p + q for p, q in zip(a, b)])
+        assert_matches(x - y, [p - q for p, q in zip(a, b)])
+        assert_matches(-x, [-p for p in a])
+        assert_matches(x + c, [a[0] + c] + a[1:])
+        assert_matches(x - c, [a[0] - c] + a[1:])
+        assert_matches(c * x, [c * p for p in a])
+        assert_matches(x * c, [c * p for p in a])
+        assert_matches(x * y, product(a, b))
+        assert_matches(x ** k, power(a, k))
+
+    @given(any_order_series, st.integers(min_value=0, max_value=14),
+           st.integers(min_value=1, max_value=5), small_rationals,
+           st.sampled_from([2, 3, 5, 7]))
+    @example(ts("1/2", "3/2", 3, N=2), 1, 2, QQ(2), 2)
+    def test_index_operations(self, x, k, p, kappa, prime):
+        a, n = fractions(x), x.truncation
+        assert_matches(x.shift(k), ([Fraction(0)] * k + a)[: n + 1])
+        assert_matches(x.retruncate(min(k, n)), a[: min(k, n) + 1])
+        assert_matches(theta_derivative(x), theta(a))
+        assert_matches(_theta_inverse(x - x.constant_term),
+                       theta_inverse([Fraction(0)] + a[1:]))
+        image = [Fraction(0)] * (n + 1)
+        image[::p] = a[: n // p + 1]
+        assert_matches(substitute_power(x, p), image)
+        assert_matches(scale_argument(x, kappa),
+                       [kappa ** i * c for i, c in enumerate(a)])
+        assert valuation_profile(x, prime).entries == tuple(
+            rational_valuation(c, prime) for c in a)
+
+    @given(any_order_series, any_order_denominators, any_order_exponents)
+    @example(ts("2/3", "1/9", N=1), ts(-6, "1/4", N=3), ts(0, "1/2", N=2))
+    def test_newton_kernels(self, num, den, u):
+        b = fractions(den)
+        assert_matches(divide(num, den), product(fractions(num), inverse(b)))
+        e = exp_series(u)
+        assert_matches(e, exponential(fractions(u)))
+        assert_matches(log_series(e), fractions(u))
+        unit = den * (1 / den.constant_term)
+        assert_matches(log_series(unit), theta_inverse(
+            product(theta(fractions(unit)), inverse(fractions(unit)))))
+
+    @given(series(8, mixed_coefficients),
+           zero_constant_series(6, mixed_coefficients), revertible_series)
+    @example(ts(1, 2, N=1), ts(0, "1/2", "1/3", N=2), ts(0, "-2/3", 5, N=3))
+    def test_compose_and_reversion(self, f, g, s):
+        assert_matches(compose(f, g), composition(fractions(f), fractions(g)))
+        assert_matches(reversion(s), compositional_inverse(fractions(s)))
 
 
 class TestExpLog:
@@ -574,8 +733,3 @@ class TestImmutability:
         with pytest.raises(AttributeError):
             s.truncation = 5
 
-
-def test_padic_valuation_basics():
-    assert padic_valuation(QQ(50), 5) == 2
-    assert padic_valuation(QQ(3, 25), 5) == -2
-    assert padic_valuation(QQ(0), 5) is None
