@@ -15,23 +15,26 @@ scale is fixed by t3_1 - t1_1 = kappa, the q-scaling of the
 hypergeometric route.  At every order n >= 2 the t1/t3 block has
 determinant n(n-1) and is solved by Cramer's rule.
 
-During the solve t1, t2 and t3 are integer numerators over one common
-denominator d, so the convolutions that feed each order are integer
-dot products and only the three new coefficients are reduced
-rationals.  That is cheap while d stays near the largest single
-denominator: within a bit for most types, and at most 12 % taller over
-every type with m1, m2 <= 12 at N = 40 and 102.  The series are built
-once, at the end, straight from those numerators.
+With a = A/M and b = B/M over the conductor M = 2 m1 m2 (2 m1 when m2
+is infinite), the solve runs on integers only.  t1, t2 and t3 are held
+as numerators over one common denominator d, each order's convolutions
+are integer dot products over d^2, and its three unknowns come out as
+numerators over one denominator E.  One gcd reduces them, and d grows
+to the lcm of itself and E over that gcd, the lcm of their reduced
+denominators.  So d stays near the largest single denominator: within
+a bit for most types, and at most 12 % taller over every type with
+m1, m2 <= 12 at N = 40 and 102.  The series are built once, at the
+end, straight from those numerators.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateDenominator, InvariantViolation
-from .rationals import QQ, ZERO, numden
+from .rationals import QQ, ZERO
 from .series import LaurentSeries, TruncatedSeries, power_ladder, series_over
 
 INFINITY = None  # m2 = infinity marker
@@ -66,10 +69,10 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
 
     @property
     def kappa(self):
-        """2*m1^2*m2^2 (2*m1^2 when m2 is infinite), as a rational: the
-        q-scaling J = 1/z(kappa*q) of the hypergeometric route and the
-        linear gap t3_1 - t1_1 of the Halphen solution."""
-        return QQ(2 * self.m1 ** 2 * (self.m2 ** 2 if self.m2_finite else 1))
+        """conductor^2 / 2 = 2*m1^2*m2^2 (2*m1^2 when m2 is infinite), as
+        a rational: the q-scaling J = 1/z(kappa*q) of the hypergeometric
+        route and the linear gap t3_1 - t1_1 of the Halphen solution."""
+        return QQ(self.conductor ** 2, 2)
 
     def __str__(self):
         return f"({self.m1},{self.m2 if self.m2_finite else 'inf'})"
@@ -116,7 +119,7 @@ class HGParams(namedtuple("HGParams", "a b")):
         return cls(a, b)
 
 
-HalphenSolution = namedtuple("HalphenSolution", "triangle t1 t2 t3")
+HalphenSolution = namedtuple("HalphenSolution", "t1 t2 t3")
 
 
 def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
@@ -125,65 +128,57 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     The order-1 system, a t1_1 + (1-a) t3_1 = 0 (twice, since c = 1 - a)
     and t2_1 = (1-b)(t1_1 + t3_1), leaves one scale free; it is fixed by
     t3_1 - t1_1 = kappa, so that the Halphen J matches the
-    hypergeometric route.
-
-    The coefficients found so far are held as integer numerators over
-    one common denominator d, so each order's five convolutions are
-    integer dot products over d^2, and only the three new coefficients
-    are formed as reduced rationals; d then grows to the lcm of itself
-    and their denominators.  This is cheap because d stays near the
-    largest single denominator (see the module docstring).
+    hypergeometric route.  Every order is solved on integers (see the
+    module docstring).
     """
-    params = HGParams.for_type(tri)
-    a, b, c = params.a, params.b, 1 - params.a
-    kappa = tri.kappa
+    M = tri.conductor
+    A, B = (int(x * M) for x in HGParams.for_type(tri))
+    kappa = int(tri.kappa)  # an integer, since M is even
     # coefficients found so far, as integer numerators over d
     d, t1, t2, t3 = 1, [0], [-1], [0]
 
-    def append(*coeffs):
-        """Append one coefficient to each of t1, t2, t3, first growing d
-        to the lcm of itself and their denominators."""
+    def append(den, *nums):
+        """Append nums[i]/den to t1, t2, t3, first growing d to the lcm
+        of itself and their reduced denominators."""
         nonlocal d
-        new = [numden(x) for x in coeffs]
-        grown = lcm(d, *(den for _, den in new))
+        g = gcd(den, *nums)
+        den //= g
+        grown = lcm(d, den)
         if grown != d:
             for t in (t1, t2, t3):
                 t[:] = [x * (grown // d) for x in t]
             d = grown
-        for t, (num, den) in zip((t1, t2, t3), new):
-            t.append(num * (d // den))
+        for t, num in zip((t1, t2, t3), nums):
+            t.append(num // g * (d // den))
 
-    append((a - 1) * kappa, (1 - b) * (2 * a - 1) * kappa, a * kappa)
+    # (a-1) kappa, (1-b)(2a-1) kappa and a kappa, over M^2
+    append(M * M, (A - M) * M * kappa, (M - B) * (2 * A - M) * kappa,
+           A * M * kappa)
 
     def conv(x, y, n):
         """d^2 times the q^n coefficient of x*y over the orders 1..n-1."""
         return sum(map(mul, x[1:n], y[n - 1:0:-1]))
 
     for n in range(2, n_order + 1):
-        # known right-hand sides from lower orders; the t2^2 term drops
-        # out because a + c - 1 = 0
         p11, p33 = conv(t1, t1, n), conv(t3, t3, n)
         p12, p13, p23 = conv(t1, t2, n), conv(t1, t3, n), conv(t2, t3, n)
-        d2 = d * d
-        k1 = ((a - 1) * QQ(p12 + p13 - p23, d2)
-              + (b + c - 1) * QQ(p11, d2))
-        k2 = (b - 1) * QQ(p12 + p23 - p13, d2)
-        k3 = ((c - 1) * QQ(p13 + p23 - p12, d2)
-              + (a + b - 1) * QQ(p33, d2))
+        # M d^2 times the right-hand sides k1, k2, k3 known from lower
+        # orders; the t2^2 term drops out because a + c - 1 = 0
+        k1 = (A - M) * (p12 + p13 - p23) + (B - A) * p11
+        k2 = (B - M) * (p12 + p23 - p13)
+        k3 = (A + B - M) * p33 - A * (p13 + p23 - p12)
         # the order-n unknowns pair with t2_0 = -1:
         #   (n+a-1) x1 - (a-1) x3 = k1,  -(c-1) x1 + (n+c-1) x3 = k3,
-        #   n x2 + (b-1)(x1 + x3) = k2;  the x1/x3 block has det n(n-1)
-        det = n * (n - 1)
-        x1 = ((n + c - 1) * k1 + (a - 1) * k3) / det
-        x3 = ((c - 1) * k1 + (n + a - 1) * k3) / det
-        append(x1, (k2 - (b - 1) * (x1 + x3)) / n, x3)
+        #   n x2 + (b-1)(x1 + x3) = k2;  the x1/x3 block has det n(n-1),
+        # so all three are numerators over M^3 d^2 n^2 (n-1)
+        y1 = (n * M - A) * k1 + (A - M) * k3
+        y3 = (n * M + A - M) * k3 - A * k1
+        append(M ** 3 * d * d * n * n * (n - 1), M * n * y1,
+               M * M * n * (n - 1) * k2 - (B - M) * (y1 + y3), M * n * y3)
 
-    return HalphenSolution(
-        triangle=tri,
-        t1=series_over(t1, d, n_order),
-        t2=series_over(t2, d, n_order),
-        t3=series_over(t3, d, n_order),
-    )
+    return HalphenSolution(t1=series_over(t1, d, n_order),
+                           t2=series_over(t2, d, n_order),
+                           t3=series_over(t3, d, n_order))
 
 
 def hauptmodul_from_halphen(sol: HalphenSolution) -> LaurentSeries:

@@ -90,12 +90,9 @@ def solve_halphen_by_fractions(tri: TriangleType,
         t2.append((k2 - (b - 1) * (x1 + x3)) / n)
         t3.append(x3)
 
-    return HalphenSolution(
-        triangle=tri,
-        t1=TruncatedSeries(t1, n_order),
-        t2=TruncatedSeries(t2, n_order),
-        t3=TruncatedSeries(t3, n_order),
-    )
+    return HalphenSolution(t1=TruncatedSeries(t1, n_order),
+                           t2=TruncatedSeries(t2, n_order),
+                           t3=TruncatedSeries(t3, n_order))
 
 
 def eisenstein_by_powering(kind: int, k: int,
@@ -148,10 +145,11 @@ def hypergeometric_operator_residual(params: HGParams,
     return th2 - inner.shift(1)
 
 
-def halphen_residuals(sol: HalphenSolution) -> list:
-    """The three equation residuals, with the solution's truncation N;
-    for an exact solution every coefficient through q^N is zero."""
-    params = HGParams.for_type(sol.triangle)
+def halphen_residuals(tri: TriangleType, sol: HalphenSolution) -> list:
+    """The three equation residuals of type tri's system, with the
+    solution's truncation N; for an exact solution every coefficient
+    through q^N is zero."""
+    params = HGParams.for_type(tri)
     a, b, c = params.a, params.b, 1 - params.a
     t1, t2, t3 = sol.t1, sol.t2, sol.t3
     return [

@@ -215,7 +215,7 @@ def test_criterion_10_structural_identities(capsys):
                 ok = ok and min(via_j.truncation, direct.truncation) >= 30
     # Halphen back-substitution residual vanishes identically
     for tri in (TriangleType(2, 3), TriangleType(3, 3), TriangleType(2, None)):
-        for res in halphen_residuals(solve_halphen(tri, 30)):
+        for res in halphen_residuals(tri, solve_halphen(tri, 30)):
             ok = ok and not any(res.coeffs)
     _report(capsys, 10,
             "Euler identity (order 50), E4/E6 Hauptmodul identity and "

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -13,7 +15,7 @@ from triforms.halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.rationals import QQ
+from triforms.rationals import QQ, RATIONAL_BACKEND
 from triforms.series import (
     LaurentSeries, TruncatedSeries, divide, theta_derivative)
 
@@ -132,7 +134,7 @@ class TestSolve:
     def test_back_substitution(self):
         for tri in SAMPLE_TYPES:
             sol = solve_halphen(tri, 25)
-            for res in halphen_residuals(sol):
+            for res in halphen_residuals(tri, sol):
                 assert not any(res.coeffs)
 
 
@@ -149,14 +151,13 @@ def test_closed_form_order_one(tri):
     assert t31 - t11 == tri.kappa
     assert a * t11 + (1 - a) * t31 == 0
     assert t21 == (1 - b) * (t11 + t31)
-    for res in halphen_residuals(sol):
+    for res in halphen_residuals(tri, sol):
         assert not any(res.coeffs)
 
 
 def _assert_same_solution(tri, n_order):
     fast = solve_halphen(tri, n_order)
     loop = solve_halphen_by_fractions(tri, n_order)
-    assert fast.triangle == loop.triangle == tri
     assert fast.t1 == loop.t1
     assert fast.t2 == loop.t2
     assert fast.t3 == loop.t3
@@ -175,6 +176,27 @@ def test_integer_solve_matches_fraction_loop_random(tri, n_order):
     _assert_same_solution(tri, n_order)
 
 
+def test_solve_builds_no_fraction_per_order(monkeypatch):
+    """The order loop runs on integers only: the Fractions a solve
+    builds (its parameters and kappa) do not grow with the order."""
+    if RATIONAL_BACKEND != "fractions":
+        pytest.skip(f"counts fractions.Fraction constructions, but the "
+                    f"rational backend is {RATIONAL_BACKEND}")
+    real, calls = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    counts = []
+    for n_order in (20, 80):
+        calls.clear()
+        solve_halphen(TriangleType(2, 5), n_order)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 class TestHauptmodul:
     def test_pole_structure(self):
         sol = solve_halphen(TriangleType(2, 3), 10)
@@ -190,7 +212,7 @@ class TestHauptmodul:
 
     def test_degenerate_denominator_guard(self):
         sol = solve_halphen(TriangleType(2, 3), 5)
-        broken = type(sol)(sol.triangle, sol.t3, sol.t2, sol.t3)
+        broken = type(sol)(sol.t3, sol.t2, sol.t3)
         with pytest.raises(DegenerateDenominator):
             hauptmodul_from_halphen(broken)
 

@@ -18,8 +18,8 @@ CASES = [
     (TriangleType, {"m1": 3, "m2": None}, "TriangleType(m1=3, m2=None)"),
     (HGParams, {"a": QQ(7, 20), "b": QQ(3, 20)},
      f"HGParams(a={QQ(7, 20)!r}, b={QQ(3, 20)!r})"),
-    (HalphenSolution, {"triangle": TRI, "t1": 1, "t2": 2, "t3": 3},
-     "HalphenSolution(triangle=TriangleType(m1=2, m2=5), t1=1, t2=2, t3=3)"),
+    (HalphenSolution, {"t1": 1, "t2": 2, "t3": 3},
+     "HalphenSolution(t1=1, t2=2, t3=3)"),
     (WitnessCase, {"epsilon": 1, "epsilon_prime": -1, "branch": Branch.SHIFTED},
      "WitnessCase(epsilon=1, epsilon_prime=-1, branch=<Branch.SHIFTED: 'shifted'>)"),
     (IntegralityVerdict, {"triangle": TRI, "prime": 11,
