@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from math import gcd
 
@@ -340,7 +341,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return status
+    except BrokenPipeError:  # the reader left: devnull quiets the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2

@@ -190,9 +190,10 @@ def takeuchi_scan(bound: int) -> list[TriangleType]:
     found = []
     for m1 in range(2, bound + 1):
         for m2 in list(range(m1, bound + 1)) + [None]:
-            if m2 is not None and QQ(1, m1) + QQ(1, m2) >= 1:
+            try:
+                tri = TriangleType(m1, m2)
+            except ValueError:  # not hyperbolic
                 continue
-            tri = TriangleType(m1, m2)
             if almost_integral(tri):
                 found.append(tri)
     return found

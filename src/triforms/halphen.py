@@ -51,7 +51,7 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
         if m2 is not INFINITY:
             if not isinstance(m2, int) or m2 < m1:
                 raise ValueError("m2 must be an integer >= m1, or None for infinity")
-            if QQ(1, m1) + QQ(1, m2) >= 1:
+            if m1 * m2 <= m1 + m2:  # 1/m1 + 1/m2 >= 1
                 raise ValueError("not hyperbolic: 1/m1 + 1/m2 must be < 1")
         # m1 is always finite here, so (inf, inf) cannot be expressed;
         # the (inf, inf, inf) group is out of scope by design.
@@ -68,11 +68,11 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
         return 2 * self.m1 * (self.m2 if self.m2_finite else 1)
 
     @property
-    def kappa(self):
-        """conductor^2 / 2 = 2*m1^2*m2^2 (2*m1^2 when m2 is infinite), as
-        a rational: the q-scaling J = 1/z(kappa*q) of the hypergeometric
-        route and the linear gap t3_1 - t1_1 of the Halphen solution."""
-        return QQ(self.conductor ** 2, 2)
+    def kappa(self) -> int:
+        """conductor^2 / 2 = 2*m1^2*m2^2 (2*m1^2 when m2 is infinite), an
+        int: the q-scaling J = 1/z(kappa*q) of the hypergeometric route
+        and the linear gap t3_1 - t1_1 of the Halphen solution."""
+        return self.conductor ** 2 // 2
 
     def __str__(self):
         return f"({self.m1},{self.m2 if self.m2_finite else 'inf'})"
@@ -133,7 +133,7 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     """
     M = tri.conductor
     A, B = (int(x * M) for x in HGParams.for_type(tri))
-    kappa = int(tri.kappa)  # an integer, since M is even
+    kappa = tri.kappa
     # coefficients found so far, as integer numerators over d
     d, t1, t2, t3 = 1, [0], [-1], [0]
 

@@ -16,6 +16,7 @@ from .series import (
     exp_series,
     reversion,
     scale_argument,
+    series_over,
 )
 
 
@@ -29,15 +30,16 @@ def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
 
 
 def series_g(params: HGParams, f: TruncatedSeries) -> TruncatedSeries:
-    """G(a,b|z) to the order of f = F(a,b|z) = sum A_n z^n:
-    B_n = A_n * sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i))."""
+    """G(a,b|z) to the order of f = F(a,b|z) = sum A_n z^n: B_n = A_n H_n
+    for H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)), on numerators."""
     a, b = params.a, params.b
-    partial = ZERO
-    coeffs = [ZERO]
-    for i, c in enumerate(f.coeffs[1:]):
+    partial, sums = ZERO, [ZERO]
+    for i in range(f.truncation):
         partial += ONE / (a + i) + ONE / (b + i) - QQ(2, 1 + i)
-        coeffs.append(c * partial)
-    return TruncatedSeries(coeffs, f.truncation)
+        sums.append(partial)
+    h = TruncatedSeries(sums)
+    return series_over([x * y for x, y in zip(f.nums, h.nums)],
+                       f.den * h.den, f.truncation)
 
 
 def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:

@@ -1,10 +1,9 @@
 """Exact rational scalars: construction, p-adic valuation, serialization.
 
-Every scalar here is an arbitrary-precision reduced fraction (a series
-holds integers over one denominator).  gmpy2's mpq is used when
-available (about 5x faster than fractions.Fraction); the two are
-interchangeable through the QQ constructor below, and nothing
-downstream depends on which backend is active.
+Every scalar is an int or a fractions.Fraction, an arbitrary-precision
+reduced fraction.  Series and the Halphen solve hold integers over one
+denominator, so scalar rationals are left to F's recurrence, G's
+harmonic sums, the Dwork map and output.
 """
 
 from __future__ import annotations
@@ -12,21 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-try:
-    from gmpy2 import mpq as _backend
+#: The one scalar type, reported by the benchmark harnesses.
+RATIONAL_BACKEND = "fractions"
 
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _backend = Fraction
-    RATIONAL_BACKEND = "fractions"
-
-
-def QQ(num=0, den=None):
-    """Exact rational from integers or a rational."""
-    if den is not None:
-        return _backend(num, den)
-    return _backend(num)
-
+#: Exact rational from integers or a rational: QQ(num, den), QQ(x).
+QQ = Fraction
 
 #: Additive and multiplicative identities, shared.
 ZERO = QQ(0)
@@ -34,14 +23,12 @@ ONE = QQ(1)
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, (type(ZERO), Fraction, int))
+    return isinstance(x, (Fraction, int))
 
 
 def numden(x):
-    """(numerator, denominator) of a reduced rational, as Python ints."""
-    if not isinstance(x, _backend):
-        x = _backend(x)
-    return int(x.numerator), int(x.denominator)
+    """(numerator, denominator) of an int or a reduced Fraction."""
+    return x.numerator, x.denominator
 
 
 def int_valuation(n: int, p: int) -> int:

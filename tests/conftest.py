@@ -1,6 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from triforms.halphen import TriangleType
 from triforms.rationals import QQ
 from triforms.series import TruncatedSeries
 
@@ -11,6 +12,11 @@ small_rationals = st.builds(
     QQ, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=9))
 
 small_integers = st.integers(min_value=-5, max_value=5)
+
+# every hyperbolic (m1, m2) with m1 <= m2 <= 12, and (m1, inf) for m1 <= 12
+GRID_TYPES = [TriangleType(m1, m2) for m2 in range(3, 13)
+              for m1 in range(2, m2 + 1) if m1 * m2 > m1 + m2] + [
+    TriangleType(m1, None) for m1 in range(2, 13)]
 
 
 def series(trunc: int, elements=None):

@@ -2,7 +2,11 @@ import csv
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +414,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # a reader that leaves after one line (`| head -1`) gets no
+    # traceback: the 300-term F is far longer than the pipe buffer, so
+    # the CLI is still writing when the pipe closes
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "triforms.cli", "expand", "--type", "2,5",
+         "--series", "F", "--N", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 1

@@ -15,10 +15,11 @@ from triforms.halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.rationals import QQ, RATIONAL_BACKEND
+from triforms.rationals import QQ
 from triforms.series import (
     LaurentSeries, TruncatedSeries, divide, theta_derivative)
 
+from conftest import GRID_TYPES
 from oracles import (
     eisenstein_by_powering, halphen_residuals, solve_halphen_by_fractions)
 
@@ -28,10 +29,6 @@ SAMPLE_TYPES = [
     TriangleType(5, None),
 ]
 
-# every hyperbolic (m1, m2) with m1 <= m2 <= 12, and (m1, inf) for m1 <= 12
-GRID_TYPES = [TriangleType(m1, m2) for m2 in range(3, 13)
-              for m1 in range(2, m2 + 1) if m1 * m2 > m1 + m2] + [
-    TriangleType(m1, None) for m1 in range(2, 13)]
 
 
 def prescribed_t2_slope(tri: TriangleType):
@@ -55,6 +52,18 @@ class TestTriangleType:
         with pytest.raises(ValueError):
             TriangleType(3, 2)
 
+    def test_hyperbolic_exactly_when_reciprocals_sum_below_one(self):
+        built = set()
+        for m1 in range(2, 13):
+            for m2 in range(m1, 13):
+                try:
+                    built.add(TriangleType(m1, m2))
+                except ValueError:
+                    assert QQ(1, m1) + QQ(1, m2) >= 1
+                else:
+                    assert QQ(1, m1) + QQ(1, m2) < 1
+        assert built == {t for t in GRID_TYPES if t.m2_finite}
+
     def test_rejects_small_orders(self):
         with pytest.raises(ValueError):
             TriangleType(1, 5)
@@ -67,6 +76,7 @@ class TestTriangleType:
         assert TriangleType(2, 3).kappa == 72
         assert TriangleType(3, None).kappa == 18
         for tri in GRID_TYPES:  # so kappa's primes divide the conductor
+            assert type(tri.kappa) is int
             assert 2 * tri.kappa == tri.conductor ** 2
 
 
@@ -179,9 +189,6 @@ def test_integer_solve_matches_fraction_loop_random(tri, n_order):
 def test_solve_builds_no_fraction_per_order(monkeypatch):
     """The order loop runs on integers only: the Fractions a solve
     builds (its parameters and kappa) do not grow with the order."""
-    if RATIONAL_BACKEND != "fractions":
-        pytest.skip(f"counts fractions.Fraction constructions, but the "
-                    f"rational backend is {RATIONAL_BACKEND}")
     real, calls = Fraction.__new__, []
 
     def counting(cls, *args, **kwargs):

@@ -3,6 +3,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from triforms import lab
+from triforms.dwork import Verdict, theorem_classifier
 from triforms.errors import (
     FormulaMismatch,
     OrderShortfall,
@@ -23,7 +24,7 @@ from triforms.lab import (
     mirror_map_unit,
     schwarz_congruence_check,
 )
-from triforms.rationals import QQ
+from triforms.rationals import QQ, primes
 from triforms.series import (
     LaurentSeries,
     TruncatedSeries,
@@ -34,10 +35,17 @@ from triforms.series import (
     valuation_profile,
 )
 
-from conftest import small_rationals
+from conftest import GRID_TYPES, small_rationals
 from oracles import rational_valuation
 
 TRI25 = TriangleType(2, 5)
+
+# the types of GRID_TYPES with conductor <= 60 that acceptance
+# criterion 13's classifier matrix (m2 <= 8, (2,inf), (3,inf)) leaves out
+BEYOND_CLASSIFIER_MATRIX = [
+    TriangleType(2, m2) for m2 in range(9, 13)] + [
+    TriangleType(3, 9), TriangleType(3, 10)] + [
+    TriangleType(m1, None) for m1 in range(4, 13)]
 
 
 def base_map(tri, n_order):
@@ -176,6 +184,20 @@ class TestDieudonne:
         exp_form = valuation_profile(exp_series(w) - 1, p, bound=1)
         assert additive.first_failure == exp_form.first_failure
 
+    @pytest.mark.parametrize("tri", BEYOND_CLASSIFIER_MATRIX, ids=str)
+    def test_lemma_matches_theorem_beyond_classifier_matrix(self, tri):
+        # the theorem's verdict equals the profile of D(z^p) - p D(z)
+        # mod p through z^(2p + 20), for the first two primes above
+        # the conductor
+        above = primes(tri.conductor + 1, 2 * tri.conductor + 20)[:2]
+        d = base_map(tri, 2 * above[-1] + 20)
+        for p in above:
+            window = d.retruncate(2 * p + 20)
+            lemma = valuation_profile(
+                substitute_power(window, p) - p * window, p, bound=1)
+            verdict = theorem_classifier(tri, p).verdict
+            assert lemma.holds() == (verdict is Verdict.INTEGRAL), p
+
 
 class TestCrossRoute:
     @pytest.mark.parametrize("tri", [
@@ -184,6 +206,10 @@ class TestCrossRoute:
     def test_agreement(self, tri):
         # returns only when both routes reach q^40 and agree through it
         assert cross_route_consistency(tri, 40) is None
+
+    @pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
+    def test_agreement_on_grid(self, tri):
+        assert cross_route_consistency(tri, 12) is None
 
     def test_short_route_is_typed_error(self, monkeypatch):
         # a mirror route one order short cannot certify the order asked

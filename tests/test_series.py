@@ -11,8 +11,10 @@ from triforms.errors import (
     NotInvertible,
     ZeroConstantTerm,
 )
-from triforms.halphen import HGParams, TriangleType
-from triforms.hypergeom import series_f, series_g
+from triforms.halphen import (
+    HGParams, TriangleType, hauptmodul_from_halphen, solve_halphen)
+from triforms.hypergeom import (
+    hauptmodul_from_mirror, mirror_map, schwarz_map, series_f, series_g)
 from triforms.rationals import QQ, rational_to_str
 from triforms.series import (
     LaurentSeries,
@@ -304,26 +306,32 @@ class TestNewtonKernels:
         assert log_series(e) == d
 
     def test_kernels_never_read_reduced_coefficients(self, monkeypatch):
-        # the kernels and the valuation profile run on nums and den
-        # alone: reading .coeffs raises once F and G are built
-        params = HGParams.for_type(TriangleType(2, 5))
-        f = series_f(params, 30)
-        g = series_g(params, f)
+        # F, G, the kernels, both routes to J and the valuation profile
+        # run on nums and den alone: reading .coeffs raises throughout
+        tri = TriangleType(2, 5)
+        params = HGParams.for_type(tri)
 
         def refuse(s):
             raise AssertionError("a kernel read .coeffs")
 
         monkeypatch.setattr(TruncatedSeries, "coeffs", property(refuse))
+        f = series_f(params, 30)
+        g = series_g(params, f)
         d = divide(g, f)
         unit = exp_series(d)
         z = reversion(unit.shift(1))
         identity = compose(unit.shift(1), z)
         profile = valuation_profile(unit, 11)
+        schwarz, mirror = schwarz_map(params, 30), mirror_map(params, 30)
+        j_mirror = hauptmodul_from_mirror(mirror, tri.kappa)
+        j_halphen = hauptmodul_from_halphen(solve_halphen(tri, 30))
         monkeypatch.undo()
-        assert all(map(is_canonical, (d, unit, z, identity)))
-        assert d == divide_by_recurrence(g, f)
+        assert all(map(is_canonical, (f, g, d, unit, z, identity)))
+        assert d == divide_by_recurrence(g, f) == schwarz
+        assert mirror == unit.shift(1)
         assert identity == TruncatedSeries.identity(30)
         assert profile.holds() and len(profile.entries) == 31
+        assert j_halphen.agrees_with(j_mirror) is None
 
     @given(st.integers(min_value=-3, max_value=3),
            any_order_series.filter(lambda s: any(s.coeffs)),

@@ -34,18 +34,29 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def _importers(module):
+    """The package modules that import the top-level module, by name."""
+    return sorted({path.name
+                   for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                   if isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == module for a in node.names)
+                   or isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == module})
+
+
 def test_no_package_module_imports_typing():
     # annotations are never evaluated (from __future__ import
     # annotations), so builtin generics and X | None serve, and the
     # value types stand on collections.namedtuple
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Import)
-             and any(a.name.split(".")[0] == "typing" for a in node.names)
-             or isinstance(node, ast.ImportFrom)
-             and (node.module or "").split(".")[0] == "typing"]
-    assert found == []
+    assert _importers("typing") == []
+
+
+def test_one_module_decides_the_scalar_type():
+    # every other module takes QQ, numden and is_rational from
+    # rationals.py, so the scalar type is Fraction in one place
+    assert _importers("fractions") == ["rationals.py"]
+    assert _importers("gmpy2") == []
 
 
 def test_every_top_level_name_is_used():
