@@ -6,19 +6,24 @@ compose (q(z(q)) for the mirror map q) and reversion (z(q)) on the
 hypergeometric series of each type in TYPES at each order in ORDERS,
 and the coefficient loops of tests/oracles.py beside divide and exp, so
 the order where Newton iteration starts to pay is on record.  It also
-times the Halphen solve of each type to each order, on integer
-numerators over one denominator and as the reduced-rational loop of
-tests/oracles.py; neither runs a packed product.  Run from the
-repository root:
+times, for each type and order, the Halphen solve and the basis F, G,
+each on integer numerators over one denominator and as the
+reduced-rational loop of tests/oracles.py (none of them runs a packed
+product), and the twisted Schwarz and Dwork congruences at the first
+prime above the conductor that moves the pair (a, b): decided on
+residues of F and G (impl schwarz-residue, dwork-residue) and on the
+exact twisted D of tests/oracles.py (schwarz-exact, dwork-exact).  Run
+from the repository root:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --out BENCH.json
 
 Each kernel is first run once untimed with TruncatedSeries.__mul__
 wrapped, to record the coefficient heights: the largest bits of any
 numerator and denominator of the result (of t1, t2 and t3 together for
-a solve), and the largest denominator den any series product packed an
-operand over (with its excess over the largest single reduced
-denominator of that operand).  It is then timed unwrapped, once, or
+a solve, of F and G together for a basis, and of the F and G a
+congruence takes as its input), and the largest denominator den any
+series product packed an operand over (with its excess over the
+largest single reduced denominator of that operand).  It is then timed unwrapped, once, or
 five times keeping the fastest when one run takes under half a second.
 The JSON also records the rational backend, the Python version, the
 platform and the src/ line count.
@@ -36,12 +41,23 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
 from oracles import (  # noqa: E402
-    divide_by_recurrence, exp_by_recurrence, solve_halphen_by_fractions)
+    divide_by_recurrence,
+    dwork_congruence_profile,
+    exp_by_recurrence,
+    schwarz_congruence_profile,
+    series_f_by_fractions,
+    series_g_by_fractions,
+    solve_halphen_by_fractions,
+    twisted_map,
+)
 from triforms import series  # noqa: E402
+from triforms.dwork import dwork_images  # noqa: E402
 from triforms.halphen import (  # noqa: E402
-    HalphenSolution, HGParams, TriangleType, solve_halphen)
-from triforms.hypergeom import series_f, series_g  # noqa: E402
-from triforms.rationals import RATIONAL_BACKEND, numden  # noqa: E402
+    HGParams, TriangleType, solve_halphen)
+from triforms.hypergeom import frobenius_basis  # noqa: E402
+from triforms.lab import (  # noqa: E402
+    dwork_congruence_check, schwarz_congruence_check)
+from triforms.rationals import RATIONAL_BACKEND, numden, primes  # noqa: E402
 
 ORDERS = (30, 60, 120, 240)
 TYPES = (TriangleType(2, 5), TriangleType(3, 4), TriangleType(2, None))
@@ -78,8 +94,9 @@ class Heights:
 
 
 def max_bits(result):
-    parts = ((result.t1, result.t2, result.t3)
-             if isinstance(result, HalphenSolution) else (result,))
+    """Largest numerator and denominator bits of a series, or of a
+    tuple of series (a Halphen solution, a basis F, G)."""
+    parts = result if isinstance(result, tuple) else (result,)
     pairs = [numden(c) for s in parts for c in s.coeffs]
     return (max(abs(n).bit_length() for n, _ in pairs),
             max(d.bit_length() for _, d in pairs))
@@ -98,12 +115,27 @@ def timed(fn):
     return best, runs
 
 
+def moving_prime(tri):
+    """The first prime above the conductor of tri whose Dwork image of
+    the pair (a, b) is not (a, b) itself."""
+    params = HGParams.for_type(tri)
+    m = tri.conductor
+    return next(p for p in primes(m + 1, 10 * m)
+                if dwork_images(params, p) != params)
+
+
+def basis_by_fractions(params, n):
+    f = series_f_by_fractions(params, n)
+    return f, series_g_by_fractions(params, f)
+
+
 def kernels(tri, n):
     """(kernel, implementation, thunk) for every timed call on tri at
-    order n; the operands are built once, outside the timing."""
+    order n, and for a congruence the basis F, G whose heights its row
+    records; the operands are built once, outside the timing."""
     params = HGParams.for_type(tri)
-    f = series_f(params, n)
-    g = series_g(params, f)
+    basis = f, g = frobenius_basis(params, n)
+    p = moving_prime(tri)
     d = series.divide(g, f)
     unit = series.exp_series(d)
     q = unit.shift(1)
@@ -119,6 +151,16 @@ def kernels(tri, n):
         ("reversion", "newton", lambda: series.reversion(q)),
         ("halphen", "integer", lambda: solve_halphen(tri, n)),
         ("halphen", "loop", lambda: solve_halphen_by_fractions(tri, n)),
+        ("fg", "integer", lambda: frobenius_basis(params, n)),
+        ("fg", "loop", lambda: basis_by_fractions(params, n)),
+        ("congruence", "schwarz-residue",
+         lambda: schwarz_congruence_check(tri, p, f, g), basis),
+        ("congruence", "schwarz-exact", lambda: schwarz_congruence_profile(
+            d, twisted_map(tri, p, d), p), basis),
+        ("congruence", "dwork-residue",
+         lambda: dwork_congruence_check(tri, p, f, g), basis),
+        ("congruence", "dwork-exact", lambda: dwork_congruence_profile(
+            d, twisted_map(tri, p, d), p), basis),
     ]
 
 
@@ -126,9 +168,10 @@ def bench(types, orders):
     results = []
     for tri in types:
         for n in orders:
-            for kernel, impl, thunk in kernels(tri, n):
+            for kernel, impl, thunk, *sized in kernels(tri, n):
                 with Heights() as heights:
-                    num_bits, den_bits = max_bits(thunk())
+                    result = thunk()
+                num_bits, den_bits = max_bits(sized[0] if sized else result)
                 seconds, runs = timed(thunk)
                 results.append({
                     "kernel": kernel, "impl": impl, "type": str(tri), "N": n,
@@ -137,7 +180,7 @@ def bench(types, orders):
                     "common_den_bits": heights.common_bits,
                     "common_den_excess_bits": heights.excess_bits,
                 })
-                print(f"{kernel:9} {impl:7} {tri} N={n:<4} "
+                print(f"{kernel:10} {impl:15} {tri} N={n:<4} "
                       f"{seconds:9.4f} s", file=sys.stderr)
     return results
 

@@ -33,7 +33,8 @@ from .halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import mirror_map, schwarz_map, series_f, series_g
+from .hypergeom import (
+    frobenius_basis, mirror_map, schwarz_map, series_f, series_g)
 from .lab import (
     Classification,
     checked_generators,
@@ -181,17 +182,18 @@ def _verify_cells(args):
     elif suite == "dwork":
         for t in types:
             ps = _primes_for(t, primes)
-            base = schwarz_map(HGParams.for_type(t), n_order)
+            f, g = frobenius_basis(HGParams.for_type(t), n_order)
             for p in ps:
-                r = dwork_congruence_check(t, p, base)
+                r = dwork_congruence_check(t, p, f, g)
                 yield f"dwork {t} p={p}", r.holds(), {}
     elif suite == "schwarz":
         for t in types:
             ps = _primes_for(t, primes)
-            base = schwarz_map(HGParams.for_type(t), n_order)
-            unit = exp_series(base)
+            params = HGParams.for_type(t)
+            f, g = frobenius_basis(params, n_order)
+            unit = exp_series(schwarz_map(params, n_order, (f, g)))
             for p in ps:
-                congruent = schwarz_congruence_check(t, p, base).holds()
+                congruent = schwarz_congruence_check(t, p, f, g).holds()
                 emp = empirical_integrality(t, p, unit)
                 yield f"schwarz-vs-empirical {t} p={p}", \
                     congruent == emp.holds(), {

@@ -7,8 +7,10 @@ reversion z(q), with kappa = 2 m1^2 m2^2 (2 m1^2 when m2 is infinite),
 
 from __future__ import annotations
 
+from math import lcm
+
 from .halphen import HGParams
-from .rationals import ONE, QQ, ZERO
+from .rationals import numden
 from .series import (
     LaurentSeries,
     TruncatedSeries,
@@ -20,33 +22,64 @@ from .series import (
 )
 
 
+def _over_common_denominator(params: HGParams):
+    """(A, B, M) with a = A/M and b = B/M for M = lcm of the
+    denominators of a and b."""
+    (na, da), (nb, db) = numden(params.a), numden(params.b)
+    m = lcm(da, db)
+    return na * (m // da), nb * (m // db), m
+
+
 def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
-    """F(a,b|z) = sum (a)_n (b)_n / n!^2 z^n via the one-term recurrence."""
-    a, b = params.a, params.b
-    coeffs = [ONE]
-    for n in range(n_order):
-        coeffs.append(coeffs[-1] * (a + n) * (b + n) / ((n + 1) * (n + 1)))
-    return TruncatedSeries(coeffs, n_order)
+    """F(a,b|z) = sum (a)_n (b)_n / n!^2 z^n on integers: with a = A/M
+    and b = B/M, the n-th numerator is the running product of
+    (A + iM)(B + iM) over i < n, times (M^(N-n) N!/n!)^2, all over
+    (M^N N!)^2 for N = n_order."""
+    A, B, M = _over_common_denominator(params)
+    products = [1]
+    for i in range(n_order):
+        products.append(products[-1] * (A + i * M) * (B + i * M))
+    nums, scale = [], 1
+    for n in range(n_order, 0, -1):
+        nums.append(products[n] * scale * scale)
+        scale *= M * n
+    nums.append(scale * scale)
+    return series_over(nums[::-1], scale * scale, n_order)
 
 
 def series_g(params: HGParams, f: TruncatedSeries) -> TruncatedSeries:
     """G(a,b|z) to the order of f = F(a,b|z) = sum A_n z^n: B_n = A_n H_n
-    for H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)), on numerators."""
-    a, b = params.a, params.b
-    partial, sums = ZERO, [ZERO]
-    for i in range(f.truncation):
-        partial += ONE / (a + i) + ONE / (b + i) - QQ(2, 1 + i)
+    for H_n = sum_{i<n} (M/(A+iM) + M/(B+iM) - 2/(1+i)), with the sums
+    taken on integers over the lcm L of every A+iM, B+iM and i+1."""
+    A, B, M = _over_common_denominator(params)
+    n_order = f.truncation
+    terms = range(n_order)
+    common = lcm(*(A + i * M for i in terms), *(B + i * M for i in terms),
+                 *(i + 1 for i in terms))
+    partial, sums = 0, [0]
+    for i in terms:
+        partial += (M * common // (A + i * M) + M * common // (B + i * M)
+                    - 2 * common // (i + 1))
         sums.append(partial)
-    h = TruncatedSeries(sums)
-    return series_over([x * y for x, y in zip(f.nums, h.nums)],
-                       f.den * h.den, f.truncation)
+    return series_over([x * y for x, y in zip(f.nums, sums)],
+                       f.den * common, n_order)
 
 
-def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:
-    """D = G/F; the z-coefficient is sigma - 2*tau with sigma = a + b,
-    tau = a*b."""
+def frobenius_basis(params: HGParams, n_order: int
+                    ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(F, G) for (a, b) = params, to order n_order."""
     f = series_f(params, n_order)
-    return divide(series_g(params, f), f)
+    return f, series_g(params, f)
+
+
+def schwarz_map(params: HGParams, n_order: int,
+                basis: tuple[TruncatedSeries, TruncatedSeries] | None = None
+                ) -> TruncatedSeries:
+    """D = G/F for (F, G) = basis, or frobenius_basis(params, n_order)
+    when basis is None; the z-coefficient is sigma - 2*tau with
+    sigma = a + b, tau = a*b."""
+    f, g = basis or frobenius_basis(params, n_order)
+    return divide(g, f)
 
 
 def mirror_map(params: HGParams, n_order: int) -> TruncatedSeries:

@@ -2,14 +2,33 @@
 expansions, the series-level Dwork congruences, and cross-route
 consistency between the Halphen and hypergeometric pipelines.
 
-Every p-adic check returns the ValuationProfile it decided on, with its
-prime, the valuation of each coefficient checked, the bound they must
-reach (0 for integrality, 1 for a congruence mod p) and the first index
-that falls short.  Every integrality check has the shape "one type,
-many primes": each check takes the per-type series it tests (the unit
-q(a,b|z)/z, the Schwarz map D(a,b|z), the checked generators), which
-the caller builds once at the largest order it needs, and does only the
-per-prime work.
+Every integrality check returns the ValuationProfile it decided on,
+with its prime, the valuation of each coefficient checked, the bound
+they must reach (0 for integrality, 1 for a congruence mod p) and the
+first index that falls short.  Every check has the shape "one type,
+many primes": each takes the per-type series it tests (the unit
+q(a,b|z)/z, the series F and G of the Schwarz map D = G/F, the checked
+generators), which the caller builds once at the largest order it
+needs, and does only the per-prime work.
+
+The twisted Schwarz congruence D' - D = 0 and the Dwork congruence
+D'(z^p) - p D = 0 mod p, for D' = G'/F' the Schwarz map of the Dwork
+image (delta(a), delta(b)), return a Congruence: the verdict, the first
+failing index and its exact valuation, and the order covered.  They
+are decided without forming D' or dividing: cross-multiplied,
+D' - D = (G' F - G F') / (F F') and
+D'(z^p) - p D = (G'(z^p) F - p G F'(z^p)) / (F F'(z^p)).  F and F' lie
+in 1 + z Z_p[[z]], so each denominator U is a unit there, and for a
+numerator X = Y U the coefficient X_k is Y_k plus a sum of Y_j U_(k-j)
+over j < k.  While every Y_j below k has valuation >= 1, X_k has
+valuation >= 1 exactly when Y_k has, and when Y_k falls short the
+ultrametric inequality makes v(X_k) = v(Y_k).  So X and Y first fail
+at the same index with the same valuation.  With s the larger p-adic
+valuation of the denominators of G and G', p^s X is a product of
+p-integral series, and its residues mod p^(s+1) decide it: a residue
+is 0 exactly when that coefficient of X has valuation >= 1, and a
+nonzero one gives the valuation.  The exact D' is kept in
+tests/oracles.py as the oracle these checks are tested against.
 
 The test object for integrality is the mirror map q(a,b|z) rather than
 J itself: reversion of a unit-linear-coefficient series, scaling by a
@@ -24,9 +43,11 @@ profile at order N is bounded evidence, never a proof.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 
-from .errors import FormulaMismatch, OrderShortfall, RouteMismatch
+from .errors import (
+    FormulaMismatch, InvariantViolation, OrderShortfall, RouteMismatch)
 from .halphen import (
     HGParams,
     TriangleType,
@@ -36,13 +57,16 @@ from .halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import hauptmodul_from_mirror, mirror_map, schwarz_map
+from .hypergeom import (
+    frobenius_basis, hauptmodul_from_mirror, mirror_map, schwarz_map)
 from .dwork import dwork_images, require_coprime
+from .rationals import int_valuation
 from .series import (
     LaurentSeries,
     TruncatedSeries,
     exp_series,
     power_ladder,
+    series_over,
     substitute_power,
     theta_derivative,
     valuation_profile,
@@ -76,32 +100,86 @@ def empirical_integrality(tri: TriangleType, p: int,
     return valuation_profile(unit, p, start_index=1)
 
 
-def _twisted_map(tri: TriangleType, p: int,
-                 base: TruncatedSeries) -> TruncatedSeries:
-    """D(delta(a), delta(b) | z) at the order of base = D(a,b|z); base
-    itself when the Dwork image of (a, b) is (a, b)."""
+class Congruence(namedtuple("Congruence",
+                             "prime order first_failure valuation")):
+    """A congruence mod p decided through z^order.  first_failure is
+    the first index whose coefficient has p-adic valuation below 1, or
+    None, and valuation is the exact valuation of that coefficient, or
+    None with it: no other valuation is resolved."""
+
+    __slots__ = ()
+
+    def holds(self) -> bool:
+        return self.first_failure is None
+
+
+def congruence_on_residues(p: int, basis, twisted, power: int) -> Congruence:
+    """Decide v_p(G'(z^k) F - k G F'(z^k)) >= 1 through z^N for k = power,
+    (F, G) = basis through z^N and (F', G') = twisted through z^(N // k),
+    on residues mod p^(s+1), where s is the larger valuation of the
+    denominators of G and G'.
+
+    F, F', p^s G and p^s G' are p-integral and are reduced coefficient
+    by coefficient; then p^s times the left side is their convolution,
+    and a coefficient's residue is 0 exactly when its valuation is at
+    least 1, and otherwise gives that valuation exactly.  A coefficient
+    of F or F' that is not p-integral raises InvariantViolation.
+    """
+    (f, g), (f_twist, g_twist) = basis, twisted
+    n = f.truncation
+    s = max(int_valuation(g.den, p), int_valuation(g_twist.den, p))
+    modulus = p ** (s + 1)
+
+    def residues(series, shift, step=1):
+        """p^shift c_i mod p^(s+1) for the coefficients c_i of series,
+        at z^(step i), as an integer series through z^n."""
+        v = int_valuation(series.den, p)
+        if v > shift:
+            raise InvariantViolation(
+                f"p^{shift} times a coefficient is not {p}-integral")
+        unit = p ** (shift - v) * pow(series.den // p ** v, -1, modulus)
+        out = [0] * (n + 1)
+        out[::step] = [x * unit % modulus
+                       for x in series.nums[: n // step + 1]]
+        return series_over(out, 1, n)
+
+    lhs = (residues(g_twist, s, power) * residues(f, 0)
+           - power * (residues(g, s) * residues(f_twist, 0, power)))
+    for i, x in enumerate(lhs.nums):
+        if x % modulus:
+            return Congruence(p, n, i, int_valuation(x % modulus, p) - s)
+    return Congruence(p, n, None, None)
+
+
+def _twisted_congruence(tri: TriangleType, p: int, f: TruncatedSeries,
+                        g: TruncatedSeries, power: int) -> Congruence:
+    """congruence_on_residues for f and g, the F and G of tri's pair,
+    against the F and G of its Dwork image (delta(a), delta(b)) through
+    z^(N // power): f and g themselves when the image is the pair."""
     require_coprime(tri, p)
     params = HGParams.for_type(tri)
     twisted = dwork_images(params, p)
-    return (base if twisted == params
-            else schwarz_map(twisted, base.truncation))
+    n_order = f.truncation // power
+    return congruence_on_residues(p, (f, g), (
+        (f.retruncate(n_order), g.retruncate(n_order)) if twisted == params
+        else frobenius_basis(twisted, n_order)), power)
 
 
-def dwork_congruence_check(tri: TriangleType, p: int,
-                           base: TruncatedSeries) -> ValuationProfile:
-    """D(delta(a), delta(b) | z^p) - p D(a,b|z) for base = D(a,b|z):
-    every coefficient must have p-adic valuation >= 1.  Holds
+def dwork_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
+                           g: TruncatedSeries) -> Congruence:
+    """D(delta(a), delta(b) | z^p) - p D(a,b|z) mod p for f = F(a,b|z)
+    and g = G(a,b|z), decided as G'(z^p) F - p G F'(z^p).  Holds
     unconditionally (no integrality hypothesis)."""
-    lhs = substitute_power(_twisted_map(tri, p, base), p)
-    return valuation_profile(lhs - p * base, p, bound=1)
+    return _twisted_congruence(tri, p, f, g, p)
 
 
-def schwarz_congruence_check(tri: TriangleType, p: int,
-                             base: TruncatedSeries) -> ValuationProfile:
-    """D(delta(a), delta(b) | z) - D(a,b|z) for base = D(a,b|z):
-    valuation >= 1 everywhere exactly when the mirror map is p-integral
-    (the biconditional is observed, not assumed)."""
-    return valuation_profile(_twisted_map(tri, p, base) - base, p, bound=1)
+def schwarz_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
+                             g: TruncatedSeries) -> Congruence:
+    """D(delta(a), delta(b) | z) - D(a,b|z) mod p for f = F(a,b|z) and
+    g = G(a,b|z), decided as G' F - G F': it holds exactly when the
+    mirror map is p-integral (the biconditional is observed, not
+    assumed)."""
+    return _twisted_congruence(tri, p, f, g, 1)
 
 
 def dieudonne_check(u: TruncatedSeries, p: int

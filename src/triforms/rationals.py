@@ -1,9 +1,9 @@
 """Exact rational scalars: construction, p-adic valuation, serialization.
 
 Every scalar is an int or a fractions.Fraction, an arbitrary-precision
-reduced fraction.  Series and the Halphen solve hold integers over one
-denominator, so scalar rationals are left to F's recurrence, G's
-harmonic sums, the Dwork map and output.
+reduced fraction.  Series, F and G, and the Halphen solve hold integers
+over one denominator, so scalar rationals are left to the parameters
+(a, b), the Dwork map and output.
 """
 
 from __future__ import annotations

@@ -2,14 +2,77 @@
 the suite checks its series against (the Euler reflection identity,
 the hypergeometric operator, the Halphen equations), the O(N^2)
 coefficient loops that the Newton kernels of divide and exp_series
-and the integer Halphen solve replaced, and the per-weight generator
-builder that the power ladder replaced."""
+and the integer Halphen solve replaced, the reduced-rational loops
+that the integer F and G replaced, the per-weight generator builder
+that the power ladder replaced, and the exact twisted Schwarz map that
+the residue congruence checks replaced."""
 
+from triforms.dwork import dwork_images, require_coprime
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
 from triforms.halphen import HalphenSolution, HGParams, TriangleType
-from triforms.hypergeom import mirror_map, series_f
+from triforms.hypergeom import mirror_map, schwarz_map, series_f
 from triforms.rationals import ONE, QQ, ZERO, int_valuation, numden
-from triforms.series import TruncatedSeries, theta_derivative
+from triforms.series import (
+    TruncatedSeries,
+    ValuationProfile,
+    series_over,
+    substitute_power,
+    theta_derivative,
+    valuation_profile,
+)
+
+
+def series_f_by_fractions(params: HGParams, n_order: int) -> TruncatedSeries:
+    """F(a,b|z) = sum (a)_n (b)_n / n!^2 z^n via the one-term recurrence
+    on reduced rationals."""
+    a, b = params.a, params.b
+    coeffs = [ONE]
+    for n in range(n_order):
+        coeffs.append(coeffs[-1] * (a + n) * (b + n) / ((n + 1) * (n + 1)))
+    return TruncatedSeries(coeffs, n_order)
+
+
+def series_g_by_fractions(params: HGParams,
+                          f: TruncatedSeries) -> TruncatedSeries:
+    """G(a,b|z) to the order of f = F(a,b|z) = sum A_n z^n: B_n = A_n H_n
+    for H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)), the sums on
+    reduced rationals."""
+    a, b = params.a, params.b
+    partial, sums = ZERO, [ZERO]
+    for i in range(f.truncation):
+        partial += ONE / (a + i) + ONE / (b + i) - QQ(2, 1 + i)
+        sums.append(partial)
+    h = TruncatedSeries(sums)
+    return series_over([x * y for x, y in zip(f.nums, h.nums)],
+                       f.den * h.den, f.truncation)
+
+
+def twisted_map(tri: TriangleType, p: int,
+                base: TruncatedSeries) -> TruncatedSeries:
+    """D(delta(a), delta(b) | z) at the order of base = D(a,b|z); base
+    itself when the Dwork image of (a, b) is (a, b)."""
+    require_coprime(tri, p)
+    params = HGParams.for_type(tri)
+    twisted = dwork_images(params, p)
+    return (base if twisted == params
+            else schwarz_map(twisted, base.truncation))
+
+
+def schwarz_congruence_profile(base: TruncatedSeries,
+                               twisted: TruncatedSeries,
+                               p: int) -> ValuationProfile:
+    """The exact profile of D' - D mod p for base = D and twisted = D',
+    both built over Q."""
+    return valuation_profile(twisted - base, p, bound=1)
+
+
+def dwork_congruence_profile(base: TruncatedSeries,
+                             twisted: TruncatedSeries,
+                             p: int) -> ValuationProfile:
+    """The exact profile of D'(z^p) - p D mod p for base = D and
+    twisted = D', both built over Q."""
+    return valuation_profile(substitute_power(twisted, p) - p * base, p,
+                             bound=1)
 
 
 def divide_by_recurrence(num: TruncatedSeries,

@@ -26,7 +26,7 @@ from triforms.halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.hypergeom import schwarz_map
+from triforms.hypergeom import frobenius_basis, schwarz_map
 from triforms.lab import (
     checked_generators,
     cross_route_consistency,
@@ -119,11 +119,11 @@ def test_criterion_04_classifier_equivalence(capsys):
 def test_criterion_05_dwork_congruence(capsys):
     ok = True
     for tri in (TriangleType(2, 5), TriangleType(3, 7), TriangleType(2, 7)):
-        base_map = schwarz_map(HGParams.for_type(tri), 60)
+        f, g = frobenius_basis(HGParams.for_type(tri), 60)
         for p in (11, 13, 19, 23):
             if gcd(p, tri.conductor) > 1:
                 continue
-            ok = ok and dwork_congruence_check(tri, p, base_map).holds()
+            ok = ok and dwork_congruence_check(tri, p, f, g).holds()
     _report(capsys, 5,
             "Dwork congruence valuation >= 1 to order 60 "
             "for (2,5), (3,7), (2,7), p in {11,13,19,23}", ok)
@@ -142,10 +142,10 @@ def test_criterion_06_schwarz_biconditional(capsys):
         coprime = [p for p in primes(lo + 1, 99) if gcd(p, lo) == 1]
         if not coprime:
             continue
-        base_map = schwarz_map(HGParams.for_type(tri), n_order)
+        f, g = frobenius_basis(HGParams.for_type(tri), n_order)
         unit = mirror_map_unit(tri, max(n_order, 2 * coprime[-1] + 20))
         for p in coprime:
-            congruent = schwarz_congruence_check(tri, p, base_map).holds()
+            congruent = schwarz_congruence_check(tri, p, f, g).holds()
             integral = empirical_integrality(
                 tri, p, unit.retruncate(max(n_order, 2 * p + 20))).holds()
             ok = ok and congruent == integral

@@ -252,8 +252,10 @@ class TestVerify:
         assert verdicts["schwarz-vs-empirical (2,5) p=13"] == "nonIntegralEvidence"
 
     @pytest.mark.parametrize("suite, module, name, calls", [
-        # one D(a,b|z) per type, then one twisted map per prime
-        ("schwarz", "hypergeom", "schwarz_map", 3),
+        # one D(a,b|z) per type, for the mirror map; the congruences are
+        # decided on F and G, with no twisted D
+        ("schwarz", "hypergeom", "schwarz_map", 1),
+        ("dwork", "hypergeom", "schwarz_map", 0),
         # one Halphen solve per type, shared by both primes
         ("generators", "halphen", "solve_halphen", 1),
     ])
@@ -267,7 +269,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, module, name", [
         ("schwarz", "hypergeom", "schwarz_map"),
-        ("dwork", "hypergeom", "schwarz_map"),
+        ("dwork", "hypergeom", "frobenius_basis"),
         ("generators", "halphen", "solve_halphen"),
     ])
     def test_shared_factor_fails_before_type_work(self, capsys, monkeypatch,

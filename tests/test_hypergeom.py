@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from triforms.halphen import HGParams, TriangleType, solve_halphen
 from triforms.hypergeom import (
+    frobenius_basis,
     hauptmodul_from_mirror,
     mirror_map,
     schwarz_map,
@@ -16,11 +21,14 @@ from triforms.series import (
     theta_derivative,
 )
 
+from conftest import GRID_TYPES
 from oracles import (
     binomial_series,
     complement,
     euler_identity_check,
     hypergeometric_operator_residual,
+    series_f_by_fractions,
+    series_g_by_fractions,
 )
 
 TRI23 = TriangleType(2, 3)
@@ -105,6 +113,52 @@ class TestSeriesG:
             rhs = (-2) * theta_derivative(f) + \
                 (2 * theta_derivative(f) + (p.a + p.b) * f).shift(1)
             assert lhs == rhs
+
+
+def assert_same_basis(params, n_order):
+    """The integer F and G equal the reduced-rational loops of
+    tests/oracles.py field for field."""
+    f, g = frobenius_basis(params, n_order)
+    f_loop = series_f_by_fractions(params, n_order)
+    g_loop = series_g_by_fractions(params, f_loop)
+    assert (f.nums, f.den, f.truncation) == (
+        f_loop.nums, f_loop.den, f_loop.truncation)
+    assert (g.nums, g.den, g.truncation) == (
+        g_loop.nums, g_loop.den, g_loop.truncation)
+
+
+class TestIntegerBasis:
+    @pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
+    @pytest.mark.parametrize("n_order", [0, 1, 2, 30, 82])
+    def test_matches_fraction_loops_on_grid(self, tri, n_order):
+        assert_same_basis(HGParams.for_type(tri), n_order)
+
+    @given(st.integers(2, 40).flatmap(lambda den: st.lists(
+        st.integers(1, den - 1), min_size=2, max_size=2).map(
+        lambda xs: HGParams(QQ(max(xs), den), QQ(min(xs), den)))),
+        st.integers(0, 60))
+    def test_matches_fraction_loops_on_pairs(self, params, n_order):
+        # any 0 < b <= a < 1 with a common denominator, twisted pairs
+        # and unequal reduced denominators included
+        assert_same_basis(params, n_order)
+
+    def test_builds_no_fraction_per_order(self, monkeypatch):
+        """F and G run on integers: the Fractions a build makes do not
+        grow with the order."""
+        real, calls = Fraction.__new__, []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(1)
+            return real(cls, *args, **kwargs)
+
+        params = HGParams.for_type(TriangleType(2, 5))
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        counts = []
+        for n_order in (20, 80):
+            calls.clear()
+            series_g(params, series_f(params, n_order))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSchwarzMap:

@@ -1,21 +1,26 @@
+from math import gcd
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from triforms import lab
-from triforms.dwork import Verdict, theorem_classifier
+from triforms import hypergeom, lab
+from triforms.dwork import Verdict, dwork_images, theorem_classifier
 from triforms.errors import (
     FormulaMismatch,
+    InvariantViolation,
     OrderShortfall,
     RouteMismatch,
     SharedFactor,
 )
 from triforms.halphen import (
     HGParams, TriangleType, hauptmodul_from_halphen, solve_halphen)
-from triforms.hypergeom import hauptmodul_from_mirror, mirror_map, schwarz_map
+from triforms.hypergeom import (
+    frobenius_basis, hauptmodul_from_mirror, mirror_map, schwarz_map)
 from triforms.lab import (
     Classification,
     checked_generators,
+    congruence_on_residues,
     cross_route_consistency,
     dieudonne_check,
     dwork_congruence_check,
@@ -24,7 +29,7 @@ from triforms.lab import (
     mirror_map_unit,
     schwarz_congruence_check,
 )
-from triforms.rationals import QQ, primes
+from triforms.rationals import QQ, int_valuation, primes
 from triforms.series import (
     LaurentSeries,
     TruncatedSeries,
@@ -36,9 +41,18 @@ from triforms.series import (
 )
 
 from conftest import GRID_TYPES, small_rationals
-from oracles import rational_valuation
+from oracles import (
+    dwork_congruence_profile,
+    rational_valuation,
+    schwarz_congruence_profile,
+    twisted_map,
+)
 
 TRI25 = TriangleType(2, 5)
+
+# acceptance criterion 6's grid: m1 <= m2 <= 8, (2,inf) and (3,inf)
+CLASSIFIER_MATRIX = [t for t in GRID_TYPES
+                     if (t.m2 <= 8 if t.m2_finite else t.m1 <= 3)]
 
 # the types of GRID_TYPES with conductor <= 60 that acceptance
 # criterion 13's classifier matrix (m2 <= 8, (2,inf), (3,inf)) leaves out
@@ -49,8 +63,14 @@ BEYOND_CLASSIFIER_MATRIX = [
 
 
 def base_map(tri, n_order):
-    """D(a,b|z), the per-type series the congruence checks take."""
+    """D(a,b|z) for the type's pair."""
     return schwarz_map(HGParams.for_type(tri), n_order)
+
+
+def basis(tri, n_order):
+    """(F, G) for the type's pair, the per-type series the congruence
+    checks take."""
+    return frobenius_basis(HGParams.for_type(tri), n_order)
 
 
 class TestEmpiricalIntegrality:
@@ -95,13 +115,13 @@ class TestEmpiricalIntegrality:
 class TestDworkCongruence:
     def test_holds_without_integrality_hypothesis(self):
         # p = 13 is a non-integral prime for (2,5); the congruence still holds
-        assert dwork_congruence_check(TRI25, 13, base_map(TRI25, 60)).holds()
+        assert dwork_congruence_check(TRI25, 13, *basis(TRI25, 60)).holds()
         tri = TriangleType(3, 7)
-        assert dwork_congruence_check(tri, 11, base_map(tri, 60)).holds()
+        assert dwork_congruence_check(tri, 11, *basis(tri, 60)).holds()
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            dwork_congruence_check(TRI25, 5, base_map(TRI25, 20))
+            dwork_congruence_check(TRI25, 5, *basis(TRI25, 20))
 
     def test_index_one_bookkeeping(self):
         # non-multiples of p vanish on the z^p-substituted side, so the
@@ -113,40 +133,165 @@ class TestDworkCongruence:
 
 class TestSchwarzCongruence:
     def test_integral_case_holds(self):
-        assert schwarz_congruence_check(TRI25, 11, base_map(TRI25, 60)).holds()
+        assert schwarz_congruence_check(TRI25, 11, *basis(TRI25, 60)).holds()
 
     def test_non_integral_case_fails(self):
-        profile = schwarz_congruence_check(TRI25, 13, base_map(TRI25, 60))
-        assert len(profile.entries) == 61
-        assert profile.bound == 1
-        assert not profile.holds()
-        assert profile.first_failure >= 1
+        result = schwarz_congruence_check(TRI25, 13, *basis(TRI25, 60))
+        assert (result.prime, result.order) == (13, 60)
+        assert not result.holds()
+        assert result.first_failure >= 1
+        assert result.valuation < 1
 
     def test_fixed_parameters_trivial(self):
         # p = 1 mod 20 fixes a and b, so both sides are the same series
-        profile = schwarz_congruence_check(TRI25, 41, base_map(TRI25, 40))
-        assert profile.holds()
-        assert profile.min_valuation is None
+        result = schwarz_congruence_check(TRI25, 41, *basis(TRI25, 40))
+        assert result.holds()
+        assert (result.first_failure, result.valuation) == (None, None)
 
     def test_fixed_parameters_reuse_base(self, monkeypatch):
-        # when the Dwork image of (a, b) is (a, b), base is the twisted
-        # map: no second Schwarz map is built
-        base = base_map(TRI25, 30)
+        # when the Dwork image of (a, b) is (a, b), the given basis is
+        # the twisted one: no second F and G are built; otherwise the
+        # Dwork form builds them only through z^(N // p)
+        fg = basis(TRI25, 30)
         built = []
-        monkeypatch.setattr(lab, "schwarz_map", lambda params, n:
-                            built.append(params) or schwarz_map(params, n))
-        assert schwarz_congruence_check(TRI25, 41, base).holds()
-        assert dwork_congruence_check(TRI25, 41, base).holds()
+        monkeypatch.setattr(lab, "frobenius_basis", lambda params, n:
+                            built.append((params, n))
+                            or frobenius_basis(params, n))
+        assert schwarz_congruence_check(TRI25, 41, *fg).holds()
+        assert dwork_congruence_check(TRI25, 41, *fg).holds()
         assert built == []
-        assert not schwarz_congruence_check(TRI25, 13, base).holds()
-        assert built == [HGParams(QQ(19, 20), QQ(11, 20))]
+        assert not schwarz_congruence_check(TRI25, 13, *fg).holds()
+        assert dwork_congruence_check(TRI25, 13, *fg).holds()
+        twisted = HGParams(QQ(19, 20), QQ(11, 20))
+        assert built == [(twisted, 30), (twisted, 2)]
+
+    def test_divides_no_series(self, monkeypatch):
+        # both checks decide on F and G: no D = G/F, base or twisted,
+        # is divided out
+        fg = basis(TRI25, 40)
+
+        def refuse(*args):
+            raise AssertionError("a series division was run")
+
+        monkeypatch.setattr(hypergeom, "divide", refuse)
+        for p in (11, 13, 17):
+            schwarz_congruence_check(TRI25, p, *fg)
+            dwork_congruence_check(TRI25, p, *fg)
 
     def test_biconditional_with_empirical(self):
-        base = base_map(TRI25, 50)
+        fg = basis(TRI25, 50)
         unit = mirror_map_unit(TRI25, 50)
         for p in (11, 13, 19, 23, 29, 31):
-            cong = schwarz_congruence_check(TRI25, p, base).holds()
+            cong = schwarz_congruence_check(TRI25, p, *fg).holds()
             assert cong == empirical_integrality(TRI25, p, unit).holds()
+
+
+@st.composite
+def random_cells(draw):
+    """A type with m1 <= 12 and m2 <= 15 or infinite, and a prime
+    3 <= p <= 113 coprime to its conductor."""
+    m1 = draw(st.integers(2, 12))
+    tri = TriangleType(m1, draw(st.one_of(
+        st.none(), st.integers(max(m1, 3), 15))))
+    p = draw(st.sampled_from([p for p in primes(3, 113)
+                              if gcd(p, tri.conductor) == 1]))
+    return tri, p
+
+
+def assert_agrees_with_exact(result, exact, n_order):
+    """A residue result has the exact profile's verdict, first failing
+    index and valuation there, and covers n_order."""
+    first = exact.first_failure
+    assert result.order == n_order
+    assert result.holds() == exact.holds()
+    assert result.first_failure == first
+    assert result.valuation == (
+        None if first is None else exact.entries[first - exact.start_index])
+
+
+def assert_checks_match_oracle(tri, primes_, n_order):
+    """Both residue checks of tri at each prime against the exact
+    twisted Schwarz map, built over Q."""
+    params = HGParams.for_type(tri)
+    fg = frobenius_basis(params, n_order)
+    d = schwarz_map(params, n_order, fg)
+    for p in primes_:
+        twisted = twisted_map(tri, p, d)
+        assert_agrees_with_exact(schwarz_congruence_check(tri, p, *fg),
+                                 schwarz_congruence_profile(d, twisted, p),
+                                 n_order)
+        assert_agrees_with_exact(dwork_congruence_check(tri, p, *fg),
+                                 dwork_congruence_profile(d, twisted, p),
+                                 n_order)
+
+
+class TestResidueCongruence:
+    """The residue checks against the exact twisted D (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("tri", CLASSIFIER_MATRIX, ids=str)
+    def test_criterion_6_grid(self, tri):
+        # every cell of acceptance criterion 6: primes above the
+        # conductor and below 100, order 60
+        coprime = [p for p in primes(tri.conductor + 1, 99)
+                   if gcd(p, tri.conductor) == 1]
+        assert_checks_match_oracle(tri, coprime, 60)
+
+    @pytest.mark.parametrize("tri, p, n_order", [
+        (TRI25, 3, 60), (TriangleType(3, 4), 5, 60),
+        (TriangleType(4, 5), 7, 120), (TriangleType(2, None), 3, 90),
+        (TriangleType(3, None), 5, 60)], ids=str)
+    def test_denominators_with_p_squared(self, tri, p, n_order):
+        # s >= 2: the residues are taken mod p^3 or higher
+        params = HGParams.for_type(tri)
+        twisted = dwork_images(params, p)
+        s = max(int_valuation(frobenius_basis(x, n_order)[1].den, p)
+                for x in (params, twisted))
+        assert s >= 2
+        assert_checks_match_oracle(tri, [p], n_order)
+
+    @given(random_cells(), st.integers(0, 120))
+    def test_random_cells(self, cell, n_order):
+        tri, p = cell
+        assert_checks_match_oracle(tri, [p], n_order)
+
+    def test_pair_that_is_not_the_dwork_image_fails(self):
+        # (1-b, 1-a) in place of the Dwork image (19/20, 11/20) of the
+        # (2,5) pair at p = 13: the Dwork form fails, at the exact index
+        # and valuation
+        p, n_order = 13, 60
+        fg = basis(TRI25, n_order)
+        wrong = HGParams(QQ(17, 20), QQ(13, 20))
+        result = congruence_on_residues(
+            p, fg, frobenius_basis(wrong, n_order // p), p)
+        exact = dwork_congruence_profile(
+            schwarz_map(HGParams.for_type(TRI25), n_order, fg),
+            schwarz_map(wrong, n_order), p)
+        assert not result.holds()
+        assert_agrees_with_exact(result, exact, n_order)
+
+    def test_modulus_from_the_taller_g(self):
+        # a crafted twisted G' = G/p, one p taller than G: the residues
+        # must be taken mod p^(s+2) for s = v_p of G's denominator, and
+        # D' - D = (1/p - 1) D fails where D has valuation below 2
+        p, n_order = 11, 40
+        f, g = basis(TRI25, n_order)
+        result = congruence_on_residues(p, (f, g), (f, g * QQ(1, p)), 1)
+        exact = valuation_profile(
+            (QQ(1, p) - 1) * schwarz_map(HGParams.for_type(TRI25), n_order,
+                                         (f, g)), p, bound=1)
+        assert not result.holds()
+        assert_agrees_with_exact(result, exact, n_order)
+
+    def test_non_integral_f_is_typed_error(self):
+        # F and F' lie in 1 + z Z_p[[z]]; a crafted F with 1/p in it is a
+        # broken invariant, on either side
+        p = 11
+        f, g = basis(TRI25, 10)
+        bad = f + TruncatedSeries([0, 0, QQ(1, p)], 10)
+        with pytest.raises(InvariantViolation):
+            congruence_on_residues(p, (bad, g), (f, g), 1)
+        with pytest.raises(InvariantViolation):
+            congruence_on_residues(p, (f, g), (bad, g), 1)
 
 
 class TestDieudonne:

@@ -22,14 +22,17 @@ def test_bench_kernels_smoke():
         ("mul", "packed"), ("divide", "newton"), ("divide", "loop"),
         ("exp", "newton"), ("exp", "loop"), ("log", "newton"),
         ("compose", "horner"), ("reversion", "newton"),
-        ("halphen", "integer"), ("halphen", "loop")}
-    assert len(rows) == 10 * 2 * 2
+        ("halphen", "integer"), ("halphen", "loop"),
+        ("fg", "integer"), ("fg", "loop"),
+        ("congruence", "schwarz-residue"), ("congruence", "schwarz-exact"),
+        ("congruence", "dwork-residue"), ("congruence", "dwork-exact")}
+    assert len(rows) == 16 * 2 * 2
     assert {(r["type"], r["N"]) for r in rows} == {
         (t, n) for t in ("(2,5)", "(2,inf)") for n in (6, 9)}
     for r in rows:
         assert r["seconds"] >= 0 and r["runs"] >= 1
         assert r["max_num_bits"] >= 1 and r["max_den_bits"] >= 1
-        # only the loops and the Halphen solve run without a packed
-        # product
+        # only the loops, the Halphen solve and the basis F, G run
+        # without a packed product
         assert (r["common_den_bits"] is None) == (
-            r["impl"] == "loop" or r["kernel"] == "halphen")
+            r["impl"] == "loop" or r["kernel"] in ("halphen", "fg"))

@@ -1,10 +1,11 @@
-"""The six value types: immutable records, built positionally or by
+"""The seven value types: immutable records, built positionally or by
 keyword, compared and hashed by their fields, shown as Name(field=...)."""
 
 import pytest
 
 from triforms.dwork import Branch, IntegralityVerdict, Verdict, WitnessCase
 from triforms.halphen import HalphenSolution, HGParams, TriangleType, solve_halphen
+from triforms.lab import Congruence
 from triforms.rationals import QQ
 from triforms.series import ValuationProfile
 
@@ -32,6 +33,9 @@ CASES = [
     (ValuationProfile, {"prime": 7, "entries": (0, None, 2),
                         "start_index": 1, "bound": 1},
      "ValuationProfile(prime=7, entries=(0, None, 2), start_index=1, bound=1)"),
+    (Congruence, {"prime": 13, "order": 60, "first_failure": 1,
+                  "valuation": 0},
+     "Congruence(prime=13, order=60, first_failure=1, valuation=0)"),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
 
