@@ -12,19 +12,22 @@ reduced-rational loop of tests/oracles.py (none of them runs a packed
 product), and the twisted Schwarz and Dwork congruences at the first
 prime above the conductor that moves the pair (a, b): decided on
 residues of F and G (impl schwarz-residue, dwork-residue) and on the
-exact twisted D of tests/oracles.py (schwarz-exact, dwork-exact).  Run
-from the repository root:
+exact twisted D of tests/oracles.py (schwarz-exact, dwork-exact), and
+the mirror map's integrality verdict at that prime: from D = G/F, exp(D)
+and its valuation profile (mirror-verdict exact) and on residues of F
+and G (mirror-verdict residue).  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --out BENCH.json
 
 Each kernel is first run once untimed with TruncatedSeries.__mul__
 wrapped, to record the coefficient heights: the largest bits of any
 numerator and denominator of the result (of t1, t2 and t3 together for
-a solve, of F and G together for a basis, and of the F and G a
-congruence takes as its input), and the largest denominator den any
-series product packed an operand over (with its excess over the
-largest single reduced denominator of that operand).  It is then timed unwrapped, once, or
-five times keeping the fastest when one run takes under half a second.
+a solve, of F and G together for a basis, and of the F and G that a
+congruence or a mirror verdict takes as its input), and the largest
+denominator den any series product packed an operand over (with its
+excess over the largest single reduced denominator of that operand).
+It is then timed unwrapped, once, or five times keeping the fastest
+when one run takes under half a second.
 The JSON also records the rational backend, the Python version, the
 platform and the src/ line count.
 """
@@ -56,7 +59,11 @@ from triforms.halphen import (  # noqa: E402
     HGParams, TriangleType, solve_halphen)
 from triforms.hypergeom import frobenius_basis  # noqa: E402
 from triforms.lab import (  # noqa: E402
-    dwork_congruence_check, schwarz_congruence_check)
+    dwork_congruence_check,
+    empirical_integrality,
+    mirror_integrality_check,
+    schwarz_congruence_check,
+)
 from triforms.rationals import RATIONAL_BACKEND, numden, primes  # noqa: E402
 
 ORDERS = (30, 60, 120, 240)
@@ -161,6 +168,10 @@ def kernels(tri, n):
          lambda: dwork_congruence_check(tri, p, f, g), basis),
         ("congruence", "dwork-exact", lambda: dwork_congruence_profile(
             d, twisted_map(tri, p, d), p), basis),
+        ("mirror-verdict", "exact", lambda: empirical_integrality(
+            tri, p, series.exp_series(series.divide(g, f))), basis),
+        ("mirror-verdict", "residue",
+         lambda: mirror_integrality_check(tri, p, f, g), basis),
     ]
 
 
@@ -180,7 +191,7 @@ def bench(types, orders):
                     "common_den_bits": heights.common_bits,
                     "common_den_excess_bits": heights.excess_bits,
                 })
-                print(f"{kernel:10} {impl:15} {tri} N={n:<4} "
+                print(f"{kernel:14} {impl:15} {tri} N={n:<4} "
                       f"{seconds:9.4f} s", file=sys.stderr)
     return results
 

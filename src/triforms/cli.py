@@ -43,11 +43,12 @@ from .lab import (
     dwork_congruence_check,
     empirical_integrality,
     generator_integrality,
+    mirror_integrality_check,
     mirror_map_unit,
     schwarz_congruence_check,
 )
 from .rationals import QQ, primes, rational_to_str
-from .series import TruncatedSeries, exp_series, log_series, reversion
+from .series import TruncatedSeries, log_series, reversion
 
 DEFAULT_ORDER = 120
 
@@ -189,16 +190,14 @@ def _verify_cells(args):
     elif suite == "schwarz":
         for t in types:
             ps = _primes_for(t, primes)
-            params = HGParams.for_type(t)
-            f, g = frobenius_basis(params, n_order)
-            unit = exp_series(schwarz_map(params, n_order, (f, g)))
+            f, g = frobenius_basis(HGParams.for_type(t), n_order)
             for p in ps:
                 congruent = schwarz_congruence_check(t, p, f, g).holds()
-                emp = empirical_integrality(t, p, unit)
+                integral = mirror_integrality_check(t, p, f, g)
                 yield f"schwarz-vs-empirical {t} p={p}", \
-                    congruent == emp.holds(), {
+                    congruent == integral.holds(), {
                         "congruence": congruent,
-                        "verdict": Classification.of(emp).value}
+                        "verdict": Classification.of(integral).value}
     elif suite == "generators":
         for t in types:
             ps = _primes_for(t, primes)

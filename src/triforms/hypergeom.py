@@ -7,7 +7,7 @@ reversion z(q), with kappa = 2 m1^2 m2^2 (2 m1^2 when m2 is infinite),
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .halphen import HGParams
 from .rationals import numden
@@ -31,20 +31,24 @@ def _over_common_denominator(params: HGParams):
 
 
 def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
-    """F(a,b|z) = sum (a)_n (b)_n / n!^2 z^n on integers: with a = A/M
-    and b = B/M, the n-th numerator is the running product of
-    (A + iM)(B + iM) over i < n, times (M^(N-n) N!/n!)^2, all over
-    (M^N N!)^2 for N = n_order."""
+    """F(a,b|z) = sum A_n z^n, A_n = (a)_n (b)_n / n!^2, on integers:
+    with a = A/M and b = B/M, A_(n+1) = A_n (A + nM)(B + nM) / (M(n+1))^2.
+    A_n = y_n / L_n for L_n the lcm of the denominators of A_0..A_n:
+    with x = y_n (A + nM)(B + nM) and g = gcd(x, (M(n+1))^2),
+    y_(n+1) = x / g and L_(n+1) = L_n (M(n+1))^2 / g.  F is
+    sum y_n (L_N / L_n) z^n over L_N for N = n_order, in lowest terms."""
     A, B, M = _over_common_denominator(params)
-    products = [1]
+    ys, factors = [1], [1]
     for i in range(n_order):
-        products.append(products[-1] * (A + i * M) * (B + i * M))
+        x, step = ys[-1] * (A + i * M) * (B + i * M), (M * (i + 1)) ** 2
+        g = gcd(x, step)
+        ys.append(x // g)
+        factors.append(step // g)
     nums, scale = [], 1
-    for n in range(n_order, 0, -1):
-        nums.append(products[n] * scale * scale)
-        scale *= M * n
-    nums.append(scale * scale)
-    return series_over(nums[::-1], scale * scale, n_order)
+    for y, factor in zip(ys[::-1], factors[::-1]):
+        nums.append(y * scale)
+        scale *= factor
+    return series_over(nums[::-1], scale, n_order)
 
 
 def series_g(params: HGParams, f: TruncatedSeries) -> TruncatedSeries:
@@ -72,13 +76,10 @@ def frobenius_basis(params: HGParams, n_order: int
     return f, series_g(params, f)
 
 
-def schwarz_map(params: HGParams, n_order: int,
-                basis: tuple[TruncatedSeries, TruncatedSeries] | None = None
-                ) -> TruncatedSeries:
-    """D = G/F for (F, G) = basis, or frobenius_basis(params, n_order)
-    when basis is None; the z-coefficient is sigma - 2*tau with
+def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:
+    """D = G/F to order n_order; the z-coefficient is sigma - 2*tau with
     sigma = a + b, tau = a*b."""
-    f, g = basis or frobenius_basis(params, n_order)
+    f, g = frobenius_basis(params, n_order)
     return divide(g, f)
 
 

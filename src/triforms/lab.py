@@ -2,7 +2,7 @@
 expansions, the series-level Dwork congruences, and cross-route
 consistency between the Halphen and hypergeometric pipelines.
 
-Every integrality check returns the ValuationProfile it decided on,
+Every profile check returns the ValuationProfile it decided on,
 with its prime, the valuation of each coefficient checked, the bound
 they must reach (0 for integrality, 1 for a congruence mod p) and the
 first index that falls short.  Every check has the shape "one type,
@@ -29,6 +29,21 @@ p-integral series, and its residues mod p^(s+1) decide it: a residue
 is 0 exactly when that coefficient of X has valuation >= 1, and a
 nonzero one gives the valuation.  The exact D' is kept in
 tests/oracles.py as the oracle these checks are tested against.
+
+The mirror map's verdict needs neither D nor exp(D).  For E = exp(D)
+and w = D(z^p) - p D: if E_0..E_(k-1) are p-integral, the z^k
+coefficient of E(z^p)/E^p = exp(w) is -p E_k plus a multiple of p,
+since R(z^p) = R(z)^p mod p for R = E_0 + ... + E_(k-1) z^(k-1); so it
+is 0 mod p exactly when E_k is p-integral.  For p odd, exp and log map
+p z Z_p[[z]] onto 1 + p z Z_p[[z]] coefficient by coefficient, so w
+first fails mod p where exp(w) - 1 does: E first fails integrality at
+the z-index where w first fails mod p (the Dieudonne-Dwork lemma,
+truncated).  w is the Dwork form above with (F, G) as its own image,
+which mirror_integrality_check decides on residues.  An index of D or
+E is one below the same coefficient of q(a,b|z) = z E, so the mirror
+map's first failure is at z^(k+1).  p is odd wherever this runs: the
+conductor 2 m1 m2 is even, and require_coprime rejects p = 2.
+empirical_integrality, on the exact exp(D), stays its oracle.
 
 The test object for integrality is the mirror map q(a,b|z) rather than
 J itself: reversion of a unit-linear-coefficient series, scaling by a
@@ -79,7 +94,7 @@ class Classification(Enum):
     NON_INTEGRAL_EVIDENCE = "nonIntegralEvidence"
 
     @classmethod
-    def of(cls, profile: ValuationProfile) -> "Classification":
+    def of(cls, profile: ValuationProfile | Congruence) -> "Classification":
         return (cls.INTEGRAL_EVIDENCE if profile.holds()
                 else cls.NON_INTEGRAL_EVIDENCE)
 
@@ -180,6 +195,24 @@ def schwarz_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
     mirror map is p-integral (the biconditional is observed, not
     assumed)."""
     return _twisted_congruence(tri, p, f, g, 1)
+
+
+def mirror_integrality_check(tri: TriangleType, p: int, f: TruncatedSeries,
+                             g: TruncatedSeries) -> Congruence:
+    """Whether the mirror map q(a,b|z) = z exp(D) is p-integral through
+    z^(N+1), for f = F(a,b|z) and g = G(a,b|z) through z^N: by the
+    Dieudonne-Dwork lemma, exactly when D(z^p) - p D = 0 mod p through
+    z^N, decided as G(z^p) F - p G F(z^p), the Dwork form with the pair
+    as its own image.
+
+    first_failure is a z-index of D (and of exp(D)); the mirror map's
+    first non-p-integral coefficient is at z^(first_failure + 1), the
+    index empirical_integrality reports.  valuation is that of
+    D(z^p) - p D there, not of the coefficient of exp(D)."""
+    require_coprime(tri, p)
+    n_order = f.truncation // p
+    return congruence_on_residues(
+        p, (f, g), (f.retruncate(n_order), g.retruncate(n_order)), p)
 
 
 def dieudonne_check(u: TruncatedSeries, p: int

@@ -252,9 +252,12 @@ class TestVerify:
         assert verdicts["schwarz-vs-empirical (2,5) p=13"] == "nonIntegralEvidence"
 
     @pytest.mark.parametrize("suite, module, name, calls", [
-        # one D(a,b|z) per type, for the mirror map; the congruences are
-        # decided on F and G, with no twisted D
-        ("schwarz", "hypergeom", "schwarz_map", 1),
+        # no D(a,b|z) at all: the congruences and the mirror map's
+        # verdict are decided on F and G, built once per type; the
+        # schwarz congruence also builds the Dwork image's F and G at
+        # each prime that moves (a, b), as 11 and 13 both do for (2,5)
+        ("schwarz", "hypergeom", "schwarz_map", 0),
+        ("schwarz", "hypergeom", "frobenius_basis", 3),
         ("dwork", "hypergeom", "schwarz_map", 0),
         # one Halphen solve per type, shared by both primes
         ("generators", "halphen", "solve_halphen", 1),
@@ -268,7 +271,7 @@ class TestVerify:
         assert len(count) == calls
 
     @pytest.mark.parametrize("suite, module, name", [
-        ("schwarz", "hypergeom", "schwarz_map"),
+        ("schwarz", "hypergeom", "frobenius_basis"),
         ("dwork", "hypergeom", "frobenius_basis"),
         ("generators", "halphen", "solve_halphen"),
     ])

@@ -1,3 +1,4 @@
+import json
 from math import gcd
 
 import pytest
@@ -26,6 +27,7 @@ from triforms.lab import (
     dwork_congruence_check,
     empirical_integrality,
     generator_integrality,
+    mirror_integrality_check,
     mirror_map_unit,
     schwarz_congruence_check,
 )
@@ -214,7 +216,7 @@ def assert_checks_match_oracle(tri, primes_, n_order):
     twisted Schwarz map, built over Q."""
     params = HGParams.for_type(tri)
     fg = frobenius_basis(params, n_order)
-    d = schwarz_map(params, n_order, fg)
+    d = schwarz_map(params, n_order)
     for p in primes_:
         twisted = twisted_map(tri, p, d)
         assert_agrees_with_exact(schwarz_congruence_check(tri, p, *fg),
@@ -264,7 +266,7 @@ class TestResidueCongruence:
         result = congruence_on_residues(
             p, fg, frobenius_basis(wrong, n_order // p), p)
         exact = dwork_congruence_profile(
-            schwarz_map(HGParams.for_type(TRI25), n_order, fg),
+            schwarz_map(HGParams.for_type(TRI25), n_order),
             schwarz_map(wrong, n_order), p)
         assert not result.holds()
         assert_agrees_with_exact(result, exact, n_order)
@@ -277,8 +279,8 @@ class TestResidueCongruence:
         f, g = basis(TRI25, n_order)
         result = congruence_on_residues(p, (f, g), (f, g * QQ(1, p)), 1)
         exact = valuation_profile(
-            (QQ(1, p) - 1) * schwarz_map(HGParams.for_type(TRI25), n_order,
-                                         (f, g)), p, bound=1)
+            (QQ(1, p) - 1) * schwarz_map(HGParams.for_type(TRI25), n_order),
+            p, bound=1)
         assert not result.holds()
         assert_agrees_with_exact(result, exact, n_order)
 
@@ -292,6 +294,79 @@ class TestResidueCongruence:
             congruence_on_residues(p, (bad, g), (f, g), 1)
         with pytest.raises(InvariantViolation):
             congruence_on_residues(p, (f, g), (bad, g), 1)
+
+
+def assert_mirror_check_matches_exp(tri, primes_, n_order):
+    """The residue verdict on the mirror map of tri at each prime against
+    the exact valuation profile of z exp(D), built over Q: the same
+    verdict, q's first failing exponent one above the failing z-index of
+    D, and there the valuation of D(z^p) - p D."""
+    params = HGParams.for_type(tri)
+    fg = frobenius_basis(params, n_order)
+    d = schwarz_map(params, n_order)
+    unit = exp_series(d)
+    for p in primes_:
+        result = mirror_integrality_check(tri, p, *fg)
+        exact = empirical_integrality(tri, p, unit)
+        assert result.order == n_order
+        assert result.holds() == exact.holds(), p
+        if result.holds():
+            assert (result.first_failure, result.valuation) == (None, None)
+            continue
+        assert exact.first_failure == result.first_failure + 1, p
+        additive = valuation_profile(substitute_power(d, p) - p * d, p,
+                                     bound=1)
+        assert additive.first_failure == result.first_failure
+        assert additive.entries[result.first_failure] == result.valuation
+
+
+class TestMirrorIntegrality:
+    """The mirror map's verdict on residues of F and G against the exact
+    exp(D) of empirical_integrality, its oracle.  p is always odd here:
+    the conductor 2 m1 m2 is even, so require_coprime rejects p = 2, and
+    the additive Dieudonne-Dwork lemma needs p odd."""
+
+    @pytest.mark.parametrize("tri", CLASSIFIER_MATRIX, ids=str)
+    def test_criterion_6_grid(self, tri):
+        # every type of acceptance criterion 6 at the schwarz suite's
+        # order 82, every prime 3 <= p < 200 coprime to the conductor
+        coprime = [p for p in primes(3, 199) if gcd(p, tri.conductor) == 1]
+        assert_mirror_check_matches_exp(tri, coprime, 82)
+
+    @given(random_cells(), st.integers(0, 120))
+    def test_random_cells(self, cell, n_order):
+        tri, p = cell
+        assert_mirror_check_matches_exp(tri, [p], n_order)
+
+    def test_rejects_shared_factor(self):
+        with pytest.raises(SharedFactor):
+            mirror_integrality_check(TRI25, 5, *basis(TRI25, 20))
+
+    def test_schwarz_suite_divides_no_series(self, capsys, monkeypatch):
+        # the suite decides both columns on F and G: no D = G/F and no
+        # exp(D) is built, and the verdicts are the exact ones
+        import triforms.cli
+        from triforms import series
+
+        def refuse(*args):
+            raise AssertionError("a series division or exp was run")
+
+        for mod in (series, hypergeom, lab, triforms.cli):
+            for name in ("divide", "exp_series"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        checked = []
+        monkeypatch.setattr(triforms.cli, "mirror_integrality_check",
+                            lambda tri, p, f, g: checked.append(p) or
+                            mirror_integrality_check(tri, p, f, g))
+        code = triforms.cli.main(["verify", "--suite", "schwarz", "--type",
+                                  "2,5", "--primes", "11..19", "--N", "40"])
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert code == 0
+        assert checked == [11, 13, 17, 19]
+        assert [c["verdict"] for c in cells] == [
+            "integralEvidence", "nonIntegralEvidence",
+            "nonIntegralEvidence", "integralEvidence"]
 
 
 class TestDieudonne:
