@@ -13,9 +13,11 @@ product), and the twisted Schwarz and Dwork congruences at the first
 prime above the conductor that moves the pair (a, b): decided on
 residues of F and G (impl schwarz-residue, dwork-residue) and on the
 exact twisted D of tests/oracles.py (schwarz-exact, dwork-exact), and
-the mirror map's integrality verdict at that prime: from D = G/F, exp(D)
-and its valuation profile (mirror-verdict exact) and on residues of F
-and G (mirror-verdict residue).  Run from the repository root:
+the mirror map's integrality verdict at that prime through z^(N+1):
+the valuation profile of q(a,b|z) = z exp(D) built by
+hypergeom.mirror_map at order N + 1 (mirror-verdict exact) and on
+residues of F and G through z^N (mirror-verdict residue).  Run from
+the repository root:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --out BENCH.json
 
@@ -57,7 +59,7 @@ from triforms import series  # noqa: E402
 from triforms.dwork import dwork_images  # noqa: E402
 from triforms.halphen import (  # noqa: E402
     HGParams, TriangleType, solve_halphen)
-from triforms.hypergeom import frobenius_basis  # noqa: E402
+from triforms.hypergeom import frobenius_basis, mirror_map  # noqa: E402
 from triforms.lab import (  # noqa: E402
     dwork_congruence_check,
     empirical_integrality,
@@ -169,7 +171,7 @@ def kernels(tri, n):
         ("congruence", "dwork-exact", lambda: dwork_congruence_profile(
             d, twisted_map(tri, p, d), p), basis),
         ("mirror-verdict", "exact", lambda: empirical_integrality(
-            tri, p, series.exp_series(series.divide(g, f))), basis),
+            tri, p, mirror_map(params, n + 1)), basis),
         ("mirror-verdict", "residue",
          lambda: mirror_integrality_check(tri, p, f, g), basis),
     ]

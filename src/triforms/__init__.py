@@ -28,7 +28,6 @@ from .lab import (
     dwork_congruence_check,
     empirical_integrality,
     generator_integrality,
-    mirror_map_unit,
     schwarz_congruence_check,
 )
 from .rationals import QQ

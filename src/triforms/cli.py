@@ -44,7 +44,6 @@ from .lab import (
     empirical_integrality,
     generator_integrality,
     mirror_integrality_check,
-    mirror_map_unit,
     schwarz_congruence_check,
 )
 from .rationals import QQ, primes, rational_to_str
@@ -118,7 +117,7 @@ def _series_catalog(tri: TriangleType, name: str, n_order: int):
     if name == "f":
         return series_f(params, n_order).to_json()
     if name == "g":
-        return series_g(params, series_f(params, n_order)).to_json()
+        return series_g(params, n_order).to_json()
     if name == "d":
         return schwarz_map(params, n_order).to_json()
     if name == "qmap":
@@ -145,7 +144,8 @@ def cmd_classify(args) -> int:
     candidates = parse_primes(args.primes)
     if args.N is not None and args.N < 1:
         raise ValueError(f"--N must be at least 1, not {args.N}")
-    unit = None if args.N is None else mirror_map_unit(tri, args.N)
+    q = None if args.N is None else mirror_map(
+        HGParams.for_type(tri), args.N + 1)
     rows = []
     for p in candidates:
         if gcd(p, tri.conductor) > 1:
@@ -154,8 +154,8 @@ def cmd_classify(args) -> int:
         entry = verdict.to_json()
         entry["belowTheoremRange"] = (
             verdict.verdict is Verdict.BELOW_THEOREM_RANGE)
-        if unit is not None:
-            profile = empirical_integrality(tri, p, unit)
+        if q is not None:
+            profile = empirical_integrality(tri, p, q)
             entry.update(N=args.N, firstNegativeIndex=profile.first_failure,
                          minValuation=profile.min_valuation)
         rows.append(entry)
@@ -238,9 +238,9 @@ def _verify_cells(args):
                 yield f"classifier {t} p={p}", agree, {}
     elif suite == "remark":
         t = TriangleType(2, 5)
-        unit = mirror_map_unit(t, 183)
+        q = mirror_map(HGParams.for_type(t), 184)
         for p in (11, 19):
-            v = empirical_integrality(t, p, unit)
+            v = empirical_integrality(t, p, q)
             yield f"remark (2,5) p={p} N=183", v.holds(), {
                 "minValuation": v.min_valuation}
 

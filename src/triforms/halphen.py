@@ -15,16 +15,17 @@ scale is fixed by t3_1 - t1_1 = kappa, the q-scaling of the
 hypergeometric route.  At every order n >= 2 the t1/t3 block has
 determinant n(n-1) and is solved by Cramer's rule.
 
-With a = A/M and b = B/M over the conductor M = 2 m1 m2 (2 m1 when m2
-is infinite), the solve runs on integers only.  t1, t2 and t3 are held
-as numerators over one common denominator d, each order's convolutions
-are integer dot products over d^2, and its three unknowns come out as
-numerators over one denominator E.  One gcd reduces them, and d grows
-to the lcm of itself and E over that gcd, the lcm of their reduced
-denominators.  So d stays near the largest single denominator: within
-a bit for most types, and at most 12 % taller over every type with
-m1, m2 <= 12 at N = 40 and 102.  The series are built once, at the
-end, straight from those numerators.
+With a = A/M and b = B/M over the pair's own denominator M, a divisor
+of the conductor 2 m1 m2 (2 m1 when m2 is infinite), the solve runs on
+integers only; its algebra holds for any such M.  t1, t2 and t3 are
+held as numerators over one common denominator d, each order's
+convolutions are integer dot products over d^2, and its three unknowns
+come out as numerators over one denominator E.  One gcd reduces them,
+and d grows to the lcm of itself and E over that gcd, the lcm of their
+reduced denominators.  So d stays near the largest single denominator:
+within a bit for most types, and at most 12 % taller over every type
+with m1, m2 <= 12 at N = 40 and 102.  The series are built once, at
+the end, straight from those numerators.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateDenominator, InvariantViolation
-from .rationals import QQ, ZERO
+from .rationals import QQ, ZERO, numden
 from .series import LaurentSeries, TruncatedSeries, power_ladder, series_over
 
 INFINITY = None  # m2 = infinity marker
@@ -118,6 +119,14 @@ class HGParams(namedtuple("HGParams", "a b")):
                                      "break the defining relations")
         return cls(a, b)
 
+    def over_common_denominator(self) -> tuple[int, int, int]:
+        """(A, B, M) with a = A/M and b = B/M for M the lcm of the
+        denominators of a and b; for a type's pair M divides the
+        conductor."""
+        (na, da), (nb, db) = numden(self.a), numden(self.b)
+        m = lcm(da, db)
+        return na * (m // da), nb * (m // db), m
+
 
 HalphenSolution = namedtuple("HalphenSolution", "t1 t2 t3")
 
@@ -131,8 +140,7 @@ def solve_halphen(tri: TriangleType, n_order: int) -> HalphenSolution:
     hypergeometric route.  Every order is solved on integers (see the
     module docstring).
     """
-    M = tri.conductor
-    A, B = (int(x * M) for x in HGParams.for_type(tri))
+    A, B, M = HGParams.for_type(tri).over_common_denominator()
     kappa = tri.kappa
     # coefficients found so far, as integer numerators over d
     d, t1, t2, t3 = 1, [0], [-1], [0]

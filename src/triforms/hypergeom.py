@@ -7,10 +7,9 @@ reversion z(q), with kappa = 2 m1^2 m2^2 (2 m1^2 when m2 is infinite),
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .halphen import HGParams
-from .rationals import numden
 from .series import (
     LaurentSeries,
     TruncatedSeries,
@@ -22,58 +21,58 @@ from .series import (
 )
 
 
-def _over_common_denominator(params: HGParams):
-    """(A, B, M) with a = A/M and b = B/M for M = lcm of the
-    denominators of a and b."""
-    (na, da), (nb, db) = numden(params.a), numden(params.b)
-    m = lcm(da, db)
-    return na * (m // da), nb * (m // db), m
-
-
 def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
     """F(a,b|z) = sum A_n z^n, A_n = (a)_n (b)_n / n!^2, on integers:
     with a = A/M and b = B/M, A_(n+1) = A_n (A + nM)(B + nM) / (M(n+1))^2.
     A_n = y_n / L_n for L_n the lcm of the denominators of A_0..A_n:
     with x = y_n (A + nM)(B + nM) and g = gcd(x, (M(n+1))^2),
-    y_(n+1) = x / g and L_(n+1) = L_n (M(n+1))^2 / g.  F is
-    sum y_n (L_N / L_n) z^n over L_N for N = n_order, in lowest terms."""
-    A, B, M = _over_common_denominator(params)
-    ys, factors = [1], [1]
+    y_(n+1) = x / g and L_(n+1) = L_n (M(n+1))^2 / g."""
+    A, B, M = params.over_common_denominator()
+    ys, steps = [1], [1]
     for i in range(n_order):
         x, step = ys[-1] * (A + i * M) * (B + i * M), (M * (i + 1)) ** 2
         g = gcd(x, step)
         ys.append(x // g)
-        factors.append(step // g)
-    nums, scale = [], 1
-    for y, factor in zip(ys[::-1], factors[::-1]):
-        nums.append(y * scale)
-        scale *= factor
-    return series_over(nums[::-1], scale, n_order)
+        steps.append(step // g)
+    return _over_last_denominator(ys, steps, n_order)
 
 
-def series_g(params: HGParams, f: TruncatedSeries) -> TruncatedSeries:
-    """G(a,b|z) to the order of f = F(a,b|z) = sum A_n z^n: B_n = A_n H_n
-    for H_n = sum_{i<n} (M/(A+iM) + M/(B+iM) - 2/(1+i)), with the sums
-    taken on integers over the lcm L of every A+iM, B+iM and i+1."""
-    A, B, M = _over_common_denominator(params)
-    n_order = f.truncation
-    terms = range(n_order)
-    common = lcm(*(A + i * M for i in terms), *(B + i * M for i in terms),
-                 *(i + 1 for i in terms))
-    partial, sums = 0, [0]
-    for i in terms:
-        partial += (M * common // (A + i * M) + M * common // (B + i * M)
-                    - 2 * common // (i + 1))
-        sums.append(partial)
-    return series_over([x * y for x, y in zip(f.nums, sums)],
-                       f.den * common, n_order)
+def series_g(params: HGParams, n_order: int) -> TruncatedSeries:
+    """G(a,b|z) = sum B_n z^n, B_n = A_n H_n for the F coefficients A_n
+    and H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)), on integers:
+    with x = A + nM, y = B + nM and c = M(n+1),
+    B_(n+1) = (B_n x y c + A_n M (x c + y c - 2 x y)) / c^3.
+    A_n and B_n are carried as numerators over one denominator L_n,
+    and each step divides c^3 and both new numerators by their gcd."""
+    A, B, M = params.over_common_denominator()
+    f_num, ws, steps = 1, [0], [1]
+    for i in range(n_order):
+        x, y, c = A + i * M, B + i * M, M * (i + 1)
+        xyc = x * y * c
+        f_next = f_num * xyc
+        w_next = ws[-1] * xyc + f_num * M * ((x + y) * c - 2 * x * y)
+        step = c ** 3
+        g = gcd(step, f_next, w_next)  # the small operand first
+        f_num = f_next // g
+        ws.append(w_next // g)
+        steps.append(step // g)
+    return _over_last_denominator(ws, steps, n_order)
+
+
+def _over_last_denominator(nums, steps, n_order: int) -> TruncatedSeries:
+    """sum nums[n] / L_n z^n for L_0 = 1 and L_(n+1) = L_n steps[n+1],
+    written over L_N for N = n_order and brought to lowest terms."""
+    scaled, scale = [], 1
+    for num, step in zip(nums[::-1], steps[::-1]):
+        scaled.append(num * scale)
+        scale *= step
+    return series_over(scaled[::-1], scale, n_order)
 
 
 def frobenius_basis(params: HGParams, n_order: int
                     ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """(F, G) for (a, b) = params, to order n_order."""
-    f = series_f(params, n_order)
-    return f, series_g(params, f)
+    return series_f(params, n_order), series_g(params, n_order)
 
 
 def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:

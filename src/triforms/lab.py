@@ -2,14 +2,14 @@
 expansions, the series-level Dwork congruences, and cross-route
 consistency between the Halphen and hypergeometric pipelines.
 
-Every profile check returns the ValuationProfile it decided on,
-with its prime, the valuation of each coefficient checked, the bound
-they must reach (0 for integrality, 1 for a congruence mod p) and the
-first index that falls short.  Every check has the shape "one type,
-many primes": each takes the per-type series it tests (the unit
-q(a,b|z)/z, the series F and G of the Schwarz map D = G/F, the checked
-generators), which the caller builds once at the largest order it
-needs, and does only the per-prime work.
+Every integrality check returns the ValuationProfile it decided on,
+with its prime, the valuation of each coefficient checked and the
+first index that is not p-integral; every check mod p returns a
+Congruence.  Every check has the shape "one type, many primes": each
+takes the per-type series it tests (the mirror map q(a,b|z), the
+series F and G of the Schwarz map D = G/F, the checked generators),
+which the caller builds once at the largest order it needs, and does
+only the per-prime work.
 
 The twisted Schwarz congruence D' - D = 0 and the Dwork congruence
 D'(z^p) - p D = 0 mod p, for D' = G'/F' the Schwarz map of the Dwork
@@ -27,7 +27,10 @@ at the same index with the same valuation.  With s the larger p-adic
 valuation of the denominators of G and G', p^s X is a product of
 p-integral series, and its residues mod p^(s+1) decide it: a residue
 is 0 exactly when that coefficient of X has valuation >= 1, and a
-nonzero one gives the valuation.  The exact D' is kept in
+nonzero one gives the valuation.  The image (F', G') is read only
+through z^(N // k), so a pair that is its own image is passed as it
+is.  With F = F' = 1 and G = G' = u the Dwork form is u(z^p) - p u,
+the congruence side of dieudonne_check.  The exact D' is kept in
 tests/oracles.py as the oracle these checks are tested against.
 
 The mirror map's verdict needs neither D nor exp(D).  For E = exp(D)
@@ -43,7 +46,8 @@ which mirror_integrality_check decides on residues.  An index of D or
 E is one below the same coefficient of q(a,b|z) = z E, so the mirror
 map's first failure is at z^(k+1).  p is odd wherever this runs: the
 conductor 2 m1 m2 is even, and require_coprime rejects p = 2.
-empirical_integrality, on the exact exp(D), stays its oracle.
+empirical_integrality, on the exact q(a,b|z) = z exp(D), stays its
+oracle.
 
 The test object for integrality is the mirror map q(a,b|z) rather than
 J itself: reversion of a unit-linear-coefficient series, scaling by a
@@ -72,8 +76,7 @@ from .halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from .hypergeom import (
-    frobenius_basis, hauptmodul_from_mirror, mirror_map, schwarz_map)
+from .hypergeom import frobenius_basis, hauptmodul_from_mirror, mirror_map
 from .dwork import dwork_images, require_coprime
 from .rationals import int_valuation
 from .series import (
@@ -82,7 +85,6 @@ from .series import (
     exp_series,
     power_ladder,
     series_over,
-    substitute_power,
     theta_derivative,
     valuation_profile,
     ValuationProfile,
@@ -99,20 +101,13 @@ class Classification(Enum):
                 else cls.NON_INTEGRAL_EVIDENCE)
 
 
-def mirror_map_unit(tri: TriangleType, n_order: int) -> TruncatedSeries:
-    """q(a,b|z)/z = exp(D) to order n_order; leading coefficient 1, and
-    index i here is the coefficient of z^(i+1) in q(a,b|z)."""
-    params = HGParams.for_type(tri)
-    return exp_series(schwarz_map(params, n_order))
-
-
 def empirical_integrality(tri: TriangleType, p: int,
-                          unit: TruncatedSeries) -> ValuationProfile:
-    """Valuation profile of the mirror map q(a,b|z) = z unit, for unit
-    from mirror_map_unit, to order unit.truncation; indices are
-    exponents of z in q(a,b|z)."""
+                          q: TruncatedSeries) -> ValuationProfile:
+    """Valuation profile of the mirror map q = q(a,b|z) of tri's pair,
+    from hypergeom.mirror_map, through z^(q.truncation); indices are
+    exponents of z."""
     require_coprime(tri, p)
-    return valuation_profile(unit, p, start_index=1)
+    return valuation_profile(q, p)
 
 
 class Congruence(namedtuple("Congruence",
@@ -130,9 +125,9 @@ class Congruence(namedtuple("Congruence",
 
 def congruence_on_residues(p: int, basis, twisted, power: int) -> Congruence:
     """Decide v_p(G'(z^k) F - k G F'(z^k)) >= 1 through z^N for k = power,
-    (F, G) = basis through z^N and (F', G') = twisted through z^(N // k),
-    on residues mod p^(s+1), where s is the larger valuation of the
-    denominators of G and G'.
+    (F, G) = basis through z^N and (F', G') = twisted, read through
+    z^(N // k), on residues mod p^(s+1), where s is the larger valuation
+    of the denominators of G and G'.
 
     F, F', p^s G and p^s G' are p-integral and are reduced coefficient
     by coefficient; then p^s times the left side is their convolution,
@@ -174,10 +169,9 @@ def _twisted_congruence(tri: TriangleType, p: int, f: TruncatedSeries,
     require_coprime(tri, p)
     params = HGParams.for_type(tri)
     twisted = dwork_images(params, p)
-    n_order = f.truncation // power
     return congruence_on_residues(p, (f, g), (
-        (f.retruncate(n_order), g.retruncate(n_order)) if twisted == params
-        else frobenius_basis(twisted, n_order)), power)
+        (f, g) if twisted == params
+        else frobenius_basis(twisted, f.truncation // power)), power)
 
 
 def dwork_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
@@ -210,20 +204,20 @@ def mirror_integrality_check(tri: TriangleType, p: int, f: TruncatedSeries,
     index empirical_integrality reports.  valuation is that of
     D(z^p) - p D there, not of the coefficient of exp(D)."""
     require_coprime(tri, p)
-    n_order = f.truncation // p
-    return congruence_on_residues(
-        p, (f, g), (f.retruncate(n_order), g.retruncate(n_order)), p)
+    return congruence_on_residues(p, (f, g), (f, g), p)
 
 
 def dieudonne_check(u: TruncatedSeries, p: int
-                    ) -> tuple[ValuationProfile, ValuationProfile]:
+                    ) -> tuple[ValuationProfile, Congruence]:
     """Both sides of the additive Dieudonne-Dwork equivalence, exactly
-    to order u.truncation: the integrality profile of exp(u), and the
-    mod-p profile of u(z^p) - p u(z), which first fails where that of
-    exp(u(z^p) - p u(z)) - 1 does.  The equivalence holds when both
-    profiles hold or neither does."""
+    to order u.truncation: the integrality profile of exp(u), and
+    u(z^p) - p u(z) mod p, which first fails where
+    exp(u(z^p) - p u(z)) - 1 does, decided as the Dwork form with
+    F = 1 and G = u.  The equivalence holds when both sides hold or
+    neither does."""
+    fg = (TruncatedSeries.one(u.truncation), u)
     return (valuation_profile(exp_series(u), p),
-            valuation_profile(substitute_power(u, p) - p * u, p, bound=1))
+            congruence_on_residues(p, fg, fg, p))
 
 
 def cross_route_consistency(tri: TriangleType, n_order: int) -> None:

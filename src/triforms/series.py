@@ -304,16 +304,6 @@ def theta_derivative(s: TruncatedSeries) -> TruncatedSeries:
                        s.truncation)
 
 
-def substitute_power(s: TruncatedSeries, p: int) -> TruncatedSeries:
-    """q -> q^p: coefficient at index p*n is c_n, all others 0."""
-    if p < 1:
-        raise ValueError("substitution exponent must be >= 1")
-    n = s.truncation
-    out = [0] * (n + 1)
-    out[::p] = s.nums[: n // p + 1]
-    return series_over(out, s.den, n)
-
-
 def scale_argument(s: TruncatedSeries, kappa) -> TruncatedSeries:
     """q -> kappa*q: c_n -> kappa^n c_n, for kappa = u/v as
     c_n u^n v^(N-n) / v^N."""
@@ -471,14 +461,15 @@ def power_ladder(factor, ratio, exponents):
 # --------------------------------------------------------------------------
 
 class ValuationProfile(namedtuple("ValuationProfile",
-                                  "prime entries start_index bound",
-                                  defaults=(0, 0))):
-    """Per-coefficient p-adic valuations of a series against a bound.
+                                  "prime entries start_index",
+                                  defaults=(0,))):
+    """Per-coefficient p-adic valuations of a series, for deciding its
+    p-integrality.
 
     entries[i] is v_p of the coefficient at index start_index + i, or
-    None when that coefficient is zero.  bound is the valuation every
-    coefficient must reach: 0 for p-integrality, 1 for a congruence
-    mod p.
+    None when that coefficient is zero; start_index is the lowest
+    exponent of a Laurent series, and 0 for a power series.  A
+    congruence mod p is decided as a Congruence (lab.py), not here.
     """
 
     __slots__ = ()
@@ -490,9 +481,9 @@ class ValuationProfile(namedtuple("ValuationProfile",
 
     @property
     def first_failure(self) -> int | None:
-        """The first index whose valuation is below bound, or None."""
+        """The first index whose coefficient is not p-integral, or None."""
         for i, v in enumerate(self.entries):
-            if v is not None and v < self.bound:
+            if v is not None and v < 0:
                 return self.start_index + i
         return None
 
@@ -500,19 +491,14 @@ class ValuationProfile(namedtuple("ValuationProfile",
         return self.first_failure is None
 
 
-def valuation_profile(s, p: int, bound: int = 0,
-                      start_index: int = 0) -> ValuationProfile:
-    """Valuation profile of a TruncatedSeries or LaurentSeries against
-    bound; the coefficient of exponent e gets index start_index + e.
-    v_p(x_i / den) is read as v_p(x_i) - v_p(den), with no gcd."""
+def valuation_profile(s, p: int) -> ValuationProfile:
+    """Valuation profile of a TruncatedSeries or LaurentSeries; the
+    coefficient of exponent e gets index e.  v_p(x_i / den) is read as
+    v_p(x_i) - v_p(den), with no gcd."""
+    start_index = 0
     if isinstance(s, LaurentSeries):
-        start_index += s.lowest_exponent
-        s = s.body
+        start_index, s = s.lowest_exponent, s.body
     v_den = int_valuation(s.den, p)
-    return ValuationProfile(
-        prime=p,
-        entries=tuple(None if x == 0 else int_valuation(x, p) - v_den
-                      for x in s.nums),
-        start_index=start_index,
-        bound=bound,
-    )
+    return ValuationProfile(p, tuple(
+        None if x == 0 else int_valuation(x, p) - v_den for x in s.nums),
+        start_index)

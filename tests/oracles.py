@@ -4,19 +4,20 @@ the hypergeometric operator, the Halphen equations), the O(N^2)
 coefficient loops that the Newton kernels of divide and exp_series
 and the integer Halphen solve replaced, the reduced-rational loops
 that the integer F and G replaced, the per-weight generator builder
-that the power ladder replaced, and the exact twisted Schwarz map that
-the residue congruence checks replaced."""
+that the power ladder replaced, the exact twisted Schwarz map that
+the residue congruence checks replaced, and the substitution z -> z^p
+with the exact mod-p reading that the Dwork form on residues
+replaced."""
 
 from triforms.dwork import dwork_images, require_coprime
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
 from triforms.halphen import HalphenSolution, HGParams, TriangleType
 from triforms.hypergeom import mirror_map, schwarz_map, series_f
+from triforms.lab import Congruence
 from triforms.rationals import ONE, QQ, ZERO, int_valuation, numden
 from triforms.series import (
     TruncatedSeries,
-    ValuationProfile,
     series_over,
-    substitute_power,
     theta_derivative,
     valuation_profile,
 )
@@ -58,21 +59,39 @@ def twisted_map(tri: TriangleType, p: int,
             else schwarz_map(twisted, base.truncation))
 
 
+def substitute_power(s: TruncatedSeries, p: int) -> TruncatedSeries:
+    """q -> q^p: coefficient at index p*n is c_n, all others 0."""
+    if p < 1:
+        raise ValueError("substitution exponent must be >= 1")
+    n = s.truncation
+    out = [0] * (n + 1)
+    out[::p] = s.nums[: n // p + 1]
+    return series_over(out, s.den, n)
+
+
+def exact_congruence(x: TruncatedSeries, p: int) -> Congruence:
+    """x = 0 mod p through x.truncation, read from the exact series:
+    the first index whose coefficient has p-adic valuation below 1,
+    and that valuation."""
+    for i, v in enumerate(valuation_profile(x, p).entries):
+        if v is not None and v < 1:
+            return Congruence(p, x.truncation, i, v)
+    return Congruence(p, x.truncation, None, None)
+
+
 def schwarz_congruence_profile(base: TruncatedSeries,
                                twisted: TruncatedSeries,
-                               p: int) -> ValuationProfile:
-    """The exact profile of D' - D mod p for base = D and twisted = D',
-    both built over Q."""
-    return valuation_profile(twisted - base, p, bound=1)
+                               p: int) -> Congruence:
+    """D' - D mod p for base = D and twisted = D', both built over Q."""
+    return exact_congruence(twisted - base, p)
 
 
 def dwork_congruence_profile(base: TruncatedSeries,
                              twisted: TruncatedSeries,
-                             p: int) -> ValuationProfile:
-    """The exact profile of D'(z^p) - p D mod p for base = D and
-    twisted = D', both built over Q."""
-    return valuation_profile(substitute_power(twisted, p) - p * base, p,
-                             bound=1)
+                             p: int) -> Congruence:
+    """D'(z^p) - p D mod p for base = D and twisted = D', both built
+    over Q."""
+    return exact_congruence(substitute_power(twisted, p) - p * base, p)
 
 
 def divide_by_recurrence(num: TruncatedSeries,

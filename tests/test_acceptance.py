@@ -26,7 +26,7 @@ from triforms.halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.hypergeom import frobenius_basis, schwarz_map
+from triforms.hypergeom import frobenius_basis, mirror_map, schwarz_map
 from triforms.lab import (
     checked_generators,
     cross_route_consistency,
@@ -34,13 +34,14 @@ from triforms.lab import (
     empirical_integrality,
     generator_integrality,
     generators_via_j,
-    mirror_map_unit,
     schwarz_congruence_check,
 )
-from triforms.series import LaurentSeries, substitute_power, valuation_profile
+from triforms.series import LaurentSeries, valuation_profile
 from triforms.rationals import primes
 
-from oracles import euler_identity_check, halphen_residuals
+from oracles import (
+    euler_identity_check, exact_congruence, halphen_residuals,
+    substitute_power)
 
 
 def _report(capsys, number, description, ok):
@@ -74,9 +75,9 @@ def test_criterion_01_takeuchi_scan(capsys):
 def test_criterion_02_183_term_integrality(capsys):
     tri = TriangleType(2, 5)
     ok = True
-    unit = mirror_map_unit(tri, 183)
+    q = mirror_map(HGParams.for_type(tri), 184)
     for p in (11, 19):
-        profile = empirical_integrality(tri, p, unit)
+        profile = empirical_integrality(tri, p, q)
         ok = ok and profile.holds() and profile.min_valuation >= 0
     _report(capsys, 2,
             "(2,5) mirror map p-integral to 183 terms for p = 11, 19", ok)
@@ -87,9 +88,9 @@ def test_criterion_03_non_integrality_witness(capsys):
     # frozen regression indices from the first exact run
     frozen = {13: 14, 17: 18}
     ok = True
-    unit = mirror_map_unit(tri, 100)
+    q = mirror_map(HGParams.for_type(tri), 101)
     for p, index in frozen.items():
-        profile = empirical_integrality(tri, p, unit)
+        profile = empirical_integrality(tri, p, q)
         ok = ok and profile.first_failure == index
         ok = ok and index <= 100
     _report(capsys, 3,
@@ -142,12 +143,13 @@ def test_criterion_06_schwarz_biconditional(capsys):
         coprime = [p for p in primes(lo + 1, 99) if gcd(p, lo) == 1]
         if not coprime:
             continue
-        f, g = frobenius_basis(HGParams.for_type(tri), n_order)
-        unit = mirror_map_unit(tri, max(n_order, 2 * coprime[-1] + 20))
+        params = HGParams.for_type(tri)
+        f, g = frobenius_basis(params, n_order)
+        q = mirror_map(params, max(n_order, 2 * coprime[-1] + 20) + 1)
         for p in coprime:
             congruent = schwarz_congruence_check(tri, p, f, g).holds()
             integral = empirical_integrality(
-                tri, p, unit.retruncate(max(n_order, 2 * p + 20))).holds()
+                tri, p, q.retruncate(max(n_order, 2 * p + 20) + 1)).holds()
             ok = ok and congruent == integral
             cells += 1
     _report(capsys, 6,
@@ -234,7 +236,7 @@ def test_criterion_11_generator_integrality(capsys):
                    if gcd(p, tri.conductor) == 1]
         top = 2 * coprime[-1] + 20
         generators = checked_generators(tri, top)
-        unit = mirror_map_unit(tri, top)
+        q = mirror_map(HGParams.for_type(tri), top + 1)
         ok = ok and min(s.truncation for _, s in generators) >= top
         for p in coprime:
             window = 2 * p + 20
@@ -243,7 +245,7 @@ def test_criterion_11_generator_integrality(capsys):
             failures = [v.first_failure for _, v in profiles
                         if not v.holds()]
             integral = theorem_classifier(tri, p).verdict is Verdict.INTEGRAL
-            mirror = empirical_integrality(tri, p, unit.retruncate(window))
+            mirror = empirical_integrality(tri, p, q.retruncate(window + 1))
             ok = ok and (not failures) == integral
             ok = ok and min(failures, default=None) == mirror.first_failure
             cells += 1
@@ -296,8 +298,8 @@ def test_criterion_13_conjectural_flag_against_series(capsys):
         d = schwarz_map(HGParams.for_type(tri), 2 * coprime[-1] + 20)
         for p in coprime:
             window = d.retruncate(2 * p + 20)
-            lemma = valuation_profile(
-                substitute_power(window, p) - p * window, p, bound=1)
+            lemma = exact_congruence(
+                substitute_power(window, p) - p * window, p)
             verdict = theorem_classifier(tri, p)
             if verdict.verdict is Verdict.BELOW_THEOREM_RANGE:
                 predicted = verdict.conjectural_integral

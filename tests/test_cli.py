@@ -12,8 +12,9 @@ import pytest
 
 from triforms.cli import CSV_COLUMNS, main, parse_primes
 from triforms.dwork import theorem_classifier
-from triforms.halphen import TriangleType
-from triforms.lab import empirical_integrality, mirror_map_unit
+from triforms.halphen import HGParams, TriangleType
+from triforms.hypergeom import mirror_map
+from triforms.lab import empirical_integrality
 from triforms.rationals import primes
 from triforms.series import ValuationProfile
 
@@ -199,7 +200,7 @@ class TestClassify:
     def test_order_adds_mirror_map_profile(self, capsys):
         # each row carries the exact profile of q(a,b|z) through z^(N+1)
         tri = TriangleType(2, 5)
-        unit = mirror_map_unit(tri, 60)
+        q = mirror_map(HGParams.for_type(tri), 61)
         argv = ["classify", "--type", "2,5", "--primes", "2..31", "--N", "60"]
         code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0
@@ -210,7 +211,7 @@ class TestClassify:
         profiles = {}
         for row in rows:
             p = int(row[1])
-            v = profiles[p] = empirical_integrality(tri, p, unit)
+            v = profiles[p] = empirical_integrality(tri, p, q)
             expected = [str(tri), p, 60,
                         theorem_classifier(tri, p).verdict.value,
                         v.first_failure, v.min_valuation]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -96,6 +97,26 @@ class TestDeriveParams:
     def test_2_inf(self):
         p = HGParams.for_type(TriangleType(2, None))
         assert (p.a, p.b, 1 - p.a) == (QQ(1, 4), QQ(1, 4), QQ(3, 4))
+
+    def test_over_common_denominator_on_grid(self):
+        # (A, B, M) in lowest terms with M dividing the conductor; for
+        # some types M is a proper divisor, and the integer solve's grid
+        # test (test_integer_solve_matches_fraction_loop) covers them
+        below = []
+        for tri in GRID_TYPES:
+            p = HGParams.for_type(tri)
+            A, B, M = p.over_common_denominator()
+            assert (QQ(A, M), QQ(B, M)) == (p.a, p.b)
+            assert gcd(A, B, M) == 1
+            assert tri.conductor % M == 0
+            if M < tri.conductor:
+                below.append(str(tri))
+        assert {"(3,3)", "(4,4)", "(5,5)", "(6,6)", "(8,8)",
+                "(2,4)"} <= set(below)
+
+    def test_over_common_denominator_of_a_twisted_pair(self):
+        assert HGParams(QQ(19, 20), QQ(1, 4)).over_common_denominator() == (
+            19, 5, 20)
 
     def test_inexact_arithmetic_is_typed_error(self, monkeypatch):
         # binary floats round 1/3 and break 1 - a - b = 1/m1

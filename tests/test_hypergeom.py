@@ -84,31 +84,33 @@ class TestSeriesF:
 class TestSeriesG:
     def test_b0_b1(self):
         p = HGParams.for_type(TRI23)
-        g = series_g(p, series_f(p, 2))
+        g = series_g(p, 2)
         assert g.coeffs[0] == 0
         assert g.coeffs[1] == p.a + p.b - 2 * p.a * p.b  # 31/72
 
     def test_b1_value(self):
         p = HGParams.for_type(TRI23)
-        assert series_g(p, series_f(p, 1)).coeffs[1] == QQ(31, 72)
+        assert series_g(p, 1).coeffs[1] == QQ(31, 72)
 
-    def test_order_and_coefficients_read_from_f(self):
-        # G is built at the truncation of the F it is given, from that
-        # F's coefficients: B_n = A_n H_n for the harmonic-type sums H_n
+    def test_order_and_coefficients_from_recurrence(self):
+        # G is built at the order asked for, and each B_n = A_n H_n,
+        # with A_n the coefficients of F and H_n the harmonic-type sums,
+        # does not depend on that order
         p = HGParams.for_type(TRI37)
-        f = series_f(p, 12)
-        g = series_g(p, f)
+        f, g = series_f(p, 12), series_g(p, 12)
         assert g.truncation == 12
-        assert series_g(p, f.retruncate(5)) == g.retruncate(5)
-        doubled = series_g(p, 2 * f)
-        assert doubled == 2 * g
+        assert series_g(p, 5) == g.retruncate(5)
+        a, b = p.a, p.b
+        h = [sum((1 / (a + i) + 1 / (b + i) - QQ(2, 1 + i)
+                  for i in range(n)), QQ(0)) for n in range(13)]
+        assert list(g.coeffs) == [x * y for x, y in zip(f.coeffs, h)]
 
     def test_logarithmic_solution_inhomogeneity(self):
         # L(F log z + G) = 0 forces L(G) = -2 theta F + z (2 theta + a + b) F
         for tri in (TRI23, TRI37):
             p = HGParams.for_type(tri)
             f = series_f(p, 25)
-            g = series_g(p, f)
+            g = series_g(p, 25)
             lhs = hypergeometric_operator_residual(p, g)
             rhs = (-2) * theta_derivative(f) + \
                 (2 * theta_derivative(f) + (p.a + p.b) * f).shift(1)
@@ -156,7 +158,7 @@ class TestIntegerBasis:
         counts = []
         for n_order in (20, 80):
             calls.clear()
-            series_g(params, series_f(params, n_order))
+            frobenius_basis(params, n_order)
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
@@ -248,7 +250,7 @@ class TestDenominatorPrimes:
         # the denominators of a, b
         p = HGParams.for_type(TRI23)
         f = series_f(p, 20)
-        g = series_g(p, f)
+        g = series_g(p, 20)
         for prime in (23, 29, 31):  # > N and > 2 m1 m2
             for c in list(f.coeffs) + list(g.coeffs):
                 if c != 0:

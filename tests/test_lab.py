@@ -20,6 +20,7 @@ from triforms.hypergeom import (
     frobenius_basis, hauptmodul_from_mirror, mirror_map, schwarz_map)
 from triforms.lab import (
     Classification,
+    Congruence,
     checked_generators,
     congruence_on_residues,
     cross_route_consistency,
@@ -28,7 +29,6 @@ from triforms.lab import (
     empirical_integrality,
     generator_integrality,
     mirror_integrality_check,
-    mirror_map_unit,
     schwarz_congruence_check,
 )
 from triforms.rationals import QQ, int_valuation, primes
@@ -38,15 +38,16 @@ from triforms.series import (
     exp_series,
     log_series,
     reversion,
-    substitute_power,
     valuation_profile,
 )
 
 from conftest import GRID_TYPES, small_rationals
 from oracles import (
     dwork_congruence_profile,
+    exact_congruence,
     rational_valuation,
     schwarz_congruence_profile,
+    substitute_power,
     twisted_map,
 )
 
@@ -75,36 +76,43 @@ def basis(tri, n_order):
     return frobenius_basis(HGParams.for_type(tri), n_order)
 
 
+def q_map(tri, n_order):
+    """The mirror map q(a,b|z) of the type's pair through z^n_order."""
+    return mirror_map(HGParams.for_type(tri), n_order)
+
+
 class TestEmpiricalIntegrality:
     def test_2_5_integral_primes(self):
-        unit = mirror_map_unit(TRI25, 60)
+        # indices are exponents of z: q has no constant term
+        q = q_map(TRI25, 61)
         for p in (11, 19):
-            v = empirical_integrality(TRI25, p, unit)
+            v = empirical_integrality(TRI25, p, q)
             assert Classification.of(v) is Classification.INTEGRAL_EVIDENCE
             assert v.first_failure is None
-            assert (v.prime, v.bound, v.start_index) == (p, 0, 1)
-            assert len(v.entries) == 61
+            assert (v.prime, v.start_index) == (p, 0)
+            assert len(v.entries) == 62
+            assert v.entries[:2] == (None, 0)
 
     def test_2_5_non_integral_primes(self):
         # first negative indices frozen from the exact computation
-        unit = mirror_map_unit(TRI25, 100)
+        q = q_map(TRI25, 101)
         for p, index in ((13, 14), (17, 18)):
-            v = empirical_integrality(TRI25, p, unit)
+            v = empirical_integrality(TRI25, p, q)
             assert Classification.of(v) is Classification.NON_INTEGRAL_EVIDENCE
             assert v.first_failure == index
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            empirical_integrality(TRI25, 5, mirror_map_unit(TRI25, 20))
+            empirical_integrality(TRI25, 5, q_map(TRI25, 21))
 
     @given(small_rationals.filter(lambda x: x != 0))
     def test_normalization_soundness(self, const):
         # multiplying by a constant shifts every valuation uniformly,
         # so min-shifted-to-zero classification is invariant
         p = 13
-        unit = mirror_map_unit(TRI25, 30)
-        base = valuation_profile(unit, p)
-        scaled = valuation_profile(const * unit, p)
+        q = q_map(TRI25, 31)
+        base = valuation_profile(q, p)
+        scaled = valuation_profile(const * q, p)
         shift = rational_valuation(const, p)
         finite = [(u, s) for u, s in zip(base.entries, scaled.entries)
                   if u is not None]
@@ -182,10 +190,10 @@ class TestSchwarzCongruence:
 
     def test_biconditional_with_empirical(self):
         fg = basis(TRI25, 50)
-        unit = mirror_map_unit(TRI25, 50)
+        q = q_map(TRI25, 51)
         for p in (11, 13, 19, 23, 29, 31):
             cong = schwarz_congruence_check(TRI25, p, *fg).holds()
-            assert cong == empirical_integrality(TRI25, p, unit).holds()
+            assert cong == empirical_integrality(TRI25, p, q).holds()
 
 
 @st.composite
@@ -200,17 +208,6 @@ def random_cells(draw):
     return tri, p
 
 
-def assert_agrees_with_exact(result, exact, n_order):
-    """A residue result has the exact profile's verdict, first failing
-    index and valuation there, and covers n_order."""
-    first = exact.first_failure
-    assert result.order == n_order
-    assert result.holds() == exact.holds()
-    assert result.first_failure == first
-    assert result.valuation == (
-        None if first is None else exact.entries[first - exact.start_index])
-
-
 def assert_checks_match_oracle(tri, primes_, n_order):
     """Both residue checks of tri at each prime against the exact
     twisted Schwarz map, built over Q."""
@@ -219,12 +216,11 @@ def assert_checks_match_oracle(tri, primes_, n_order):
     d = schwarz_map(params, n_order)
     for p in primes_:
         twisted = twisted_map(tri, p, d)
-        assert_agrees_with_exact(schwarz_congruence_check(tri, p, *fg),
-                                 schwarz_congruence_profile(d, twisted, p),
-                                 n_order)
-        assert_agrees_with_exact(dwork_congruence_check(tri, p, *fg),
-                                 dwork_congruence_profile(d, twisted, p),
-                                 n_order)
+        schwarz = schwarz_congruence_check(tri, p, *fg)
+        assert schwarz.order == n_order
+        assert schwarz == schwarz_congruence_profile(d, twisted, p)
+        assert dwork_congruence_check(tri, p, *fg) == \
+            dwork_congruence_profile(d, twisted, p)
 
 
 class TestResidueCongruence:
@@ -269,7 +265,7 @@ class TestResidueCongruence:
             schwarz_map(HGParams.for_type(TRI25), n_order),
             schwarz_map(wrong, n_order), p)
         assert not result.holds()
-        assert_agrees_with_exact(result, exact, n_order)
+        assert result == exact
 
     def test_modulus_from_the_taller_g(self):
         # a crafted twisted G' = G/p, one p taller than G: the residues
@@ -278,11 +274,11 @@ class TestResidueCongruence:
         p, n_order = 11, 40
         f, g = basis(TRI25, n_order)
         result = congruence_on_residues(p, (f, g), (f, g * QQ(1, p)), 1)
-        exact = valuation_profile(
+        exact = exact_congruence(
             (QQ(1, p) - 1) * schwarz_map(HGParams.for_type(TRI25), n_order),
-            p, bound=1)
+            p)
         assert not result.holds()
-        assert_agrees_with_exact(result, exact, n_order)
+        assert result == exact
 
     def test_non_integral_f_is_typed_error(self):
         # F and F' lie in 1 + z Z_p[[z]]; a crafted F with 1/p in it is a
@@ -298,26 +294,21 @@ class TestResidueCongruence:
 
 def assert_mirror_check_matches_exp(tri, primes_, n_order):
     """The residue verdict on the mirror map of tri at each prime against
-    the exact valuation profile of z exp(D), built over Q: the same
-    verdict, q's first failing exponent one above the failing z-index of
-    D, and there the valuation of D(z^p) - p D."""
+    the exact valuation profile of q = z exp(D) through z^(n_order + 1),
+    built over Q: the same verdict, q's first failing exponent one above
+    the failing z-index of D, and the exact reading of D(z^p) - p D."""
     params = HGParams.for_type(tri)
     fg = frobenius_basis(params, n_order)
     d = schwarz_map(params, n_order)
-    unit = exp_series(d)
+    q = mirror_map(params, n_order + 1)
     for p in primes_:
         result = mirror_integrality_check(tri, p, *fg)
-        exact = empirical_integrality(tri, p, unit)
+        exact = empirical_integrality(tri, p, q)
         assert result.order == n_order
+        assert result == exact_congruence(substitute_power(d, p) - p * d, p)
         assert result.holds() == exact.holds(), p
-        if result.holds():
-            assert (result.first_failure, result.valuation) == (None, None)
-            continue
-        assert exact.first_failure == result.first_failure + 1, p
-        additive = valuation_profile(substitute_power(d, p) - p * d, p,
-                                     bound=1)
-        assert additive.first_failure == result.first_failure
-        assert additive.entries[result.first_failure] == result.valuation
+        if not result.holds():
+            assert exact.first_failure == result.first_failure + 1, p
 
 
 class TestMirrorIntegrality:
@@ -341,6 +332,24 @@ class TestMirrorIntegrality:
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
             mirror_integrality_check(TRI25, 5, *basis(TRI25, 20))
+
+    @pytest.mark.parametrize("tri", CLASSIFIER_MATRIX, ids=str)
+    def test_is_the_dieudonne_form_of_d(self, tri, monkeypatch):
+        # the same Dwork form on residues, once from F and G and once
+        # from D with F = 1: equal Congruence values, order 82 included;
+        # and exp(D), built once as it does not depend on p, first fails
+        # integrality at the same index (the lemma, on the data)
+        params = HGParams.for_type(tri)
+        fg = frobenius_basis(params, 82)
+        d = schwarz_map(params, 82)
+        e = exp_series(d)
+        monkeypatch.setattr(lab, "exp_series",
+                            lambda u: e if u is d else exp_series(u))
+        for p in primes(3, 99):
+            if gcd(p, tri.conductor) == 1:
+                exp_side, congruence = dieudonne_check(d, p)
+                assert congruence == mirror_integrality_check(tri, p, *fg), p
+                assert exp_side.first_failure == congruence.first_failure, p
 
     def test_schwarz_suite_divides_no_series(self, capsys, monkeypatch):
         # the suite decides both columns on F and G: no D = G/F and no
@@ -374,8 +383,8 @@ class TestDieudonne:
         u = log_series(TruncatedSeries([1, 1], 30))
         exp_side, cong_side = dieudonne_check(u, 5)
         assert exp_side.holds() and cong_side.holds()
-        assert (exp_side.bound, cong_side.bound) == (0, 1)
-        assert len(exp_side.entries) == len(cong_side.entries) == 31
+        assert len(exp_side.entries) == 31
+        assert cong_side == Congruence(5, 30, None, None)
 
     def test_z_over_p(self):
         p = 5
@@ -401,8 +410,21 @@ class TestDieudonne:
         u = TruncatedSeries([QQ(0)] + [c * QQ(p) ** k for c, k in terms], 8)
         w = substitute_power(u, p) - p * u
         _, additive = dieudonne_check(u, p)
-        exp_form = valuation_profile(exp_series(w) - 1, p, bound=1)
+        exp_form = exact_congruence(exp_series(w) - 1, p)
         assert additive.first_failure == exp_form.first_failure
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 40), st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-1, 1),
+                  st.integers(1, 9)), max_size=41))
+    def test_congruence_side_matches_exact(self, p, n_order, terms):
+        # the residue decision equals the exact reading of u(z^p) - p u
+        # over Q: index, valuation and order; the terms c p^k / d mix
+        # valuations -1, 0 and 1 with units and zeros
+        u = TruncatedSeries([QQ(0)] + [c * QQ(p) ** k / d
+                                       for c, k, d in terms], n_order)
+        _, congruence = dieudonne_check(u, p)
+        assert congruence == exact_congruence(
+            substitute_power(u, p) - p * u, p)
 
     @pytest.mark.parametrize("tri", BEYOND_CLASSIFIER_MATRIX, ids=str)
     def test_lemma_matches_theorem_beyond_classifier_matrix(self, tri):
@@ -413,8 +435,8 @@ class TestDieudonne:
         d = base_map(tri, 2 * above[-1] + 20)
         for p in above:
             window = d.retruncate(2 * p + 20)
-            lemma = valuation_profile(
-                substitute_power(window, p) - p * window, p, bound=1)
+            lemma = exact_congruence(
+                substitute_power(window, p) - p * window, p)
             verdict = theorem_classifier(tri, p).verdict
             assert lemma.holds() == (verdict is Verdict.INTEGRAL), p
 
@@ -533,9 +555,8 @@ class TestIntegralityTransportJustification:
 
     def test_transport_equivalence_small_order(self):
         # q(a,b|z) integral iff J integral, checked directly at N = 25
-        unit = mirror_map_unit(TRI25, 25)
+        q = q_map(TRI25, 26)
+        j = hauptmodul_from_mirror(q, TRI25.kappa)
         for p in (11, 13):
-            q_integral = empirical_integrality(TRI25, p, unit).holds()
-            j = hauptmodul_from_mirror(
-                mirror_map(HGParams.for_type(TRI25), 26), TRI25.kappa)
+            q_integral = empirical_integrality(TRI25, p, q).holds()
             assert valuation_profile(j, p).holds() == q_integral

@@ -25,7 +25,6 @@ from triforms.series import (
     log_series,
     reversion,
     scale_argument,
-    substitute_power,
     theta_derivative,
     valuation_profile,
     _theta_inverse,
@@ -39,7 +38,9 @@ from conftest import (
     unit_series,
     zero_constant_series,
 )
-from oracles import divide_by_recurrence, exp_by_recurrence, rational_valuation
+from oracles import (
+    divide_by_recurrence, exp_by_recurrence, rational_valuation,
+    substitute_power)
 
 
 def ts(*coeffs, N=None):
@@ -295,7 +296,7 @@ class TestNewtonKernels:
         # D = G/F and exp(D): the tall rationals the mirror map is made of
         params = HGParams.for_type(TriangleType(m1, m2))
         f = series_f(params, 45)
-        g = series_g(params, f)
+        g = series_g(params, 45)
         d = divide(g, f)
         assert d == divide_by_recurrence(g, f)
         assert divide(g.retruncate(30), f) == divide_by_recurrence(
@@ -316,7 +317,7 @@ class TestNewtonKernels:
 
         monkeypatch.setattr(TruncatedSeries, "coeffs", property(refuse))
         f = series_f(params, 30)
-        g = series_g(params, f)
+        g = series_g(params, 30)
         d = divide(g, f)
         unit = exp_series(d)
         z = reversion(unit.shift(1))
@@ -528,15 +529,14 @@ class TestValuationProfile:
         assert prof.entries == (0, 0)
         assert prof.holds() and prof.first_failure is None
 
-    def test_bound_and_first_failure(self):
-        # bound 1 is a congruence mod p: a p-unit coefficient fails it
-        s = ts(0, 5, 1, "1/5")
-        assert valuation_profile(s, 5).first_failure == 3
-        mod_p = valuation_profile(s, 5, bound=1)
-        assert mod_p.first_failure == 2
-        assert not mod_p.holds()
-        assert valuation_profile(s, 5, bound=1, start_index=1
-                                 ).first_failure == 3
+    def test_first_failure_is_first_non_integral(self):
+        # p-units and zeros pass; the first negative valuation fails
+        s = ts(0, 5, 1, "1/5", "1/25")
+        prof = valuation_profile(s, 5)
+        assert prof.entries == (None, 1, 0, -1, -2)
+        assert prof.first_failure == 3
+        assert not prof.holds()
+        assert prof.start_index == 0
 
     def test_laurent_indices_are_exponents(self):
         s = LaurentSeries(ts("1/7", 1, "1/7"), -1)
@@ -546,7 +546,7 @@ class TestValuationProfile:
         assert prof.min_valuation == -1
 
     def test_all_zero_holds(self):
-        prof = valuation_profile(TruncatedSeries([], 3), 5, bound=1)
+        prof = valuation_profile(TruncatedSeries([], 3), 5)
         assert prof.min_valuation is None
         assert prof.holds()
 

@@ -31,8 +31,8 @@ CASES = [
      "epsilon=1, epsilon_prime=-1, branch=<Branch.SHIFTED: 'shifted'>), "
      "conjectural_integral=True)"),
     (ValuationProfile, {"prime": 7, "entries": (0, None, 2),
-                        "start_index": 1, "bound": 1},
-     "ValuationProfile(prime=7, entries=(0, None, 2), start_index=1, bound=1)"),
+                        "start_index": -1},
+     "ValuationProfile(prime=7, entries=(0, None, 2), start_index=-1)"),
     (Congruence, {"prime": 13, "order": 60, "first_failure": 1,
                   "valuation": 0},
      "Congruence(prime=13, order=60, first_failure=1, valuation=0)"),
@@ -66,7 +66,7 @@ def test_repr(cls, fields, text):
 
 def test_defaults():
     profile = ValuationProfile(7, (0, 1))
-    assert profile.start_index == profile.bound == 0
+    assert profile.start_index == 0
     verdict = IntegralityVerdict(TRI, 11, Verdict.NON_INTEGRAL)
     assert verdict.witness is None
     assert verdict.conjectural_integral is None
