@@ -78,29 +78,36 @@ class Branch(Enum):
 WitnessCase = namedtuple("WitnessCase", "epsilon epsilon_prime branch")
 
 
-class IntegralityVerdict(namedtuple(
-        "IntegralityVerdict",
-        "triangle prime verdict witness conjectural_integral",
-        defaults=(None, None))):
-    """conjectural_integral is set only below the theorem range: what
-    the congruences would say there; conjectural, never asserted."""
+class IntegralityVerdict(namedtuple("IntegralityVerdict",
+                                     "triangle prime witness")):
+    """The main theorem's congruences at one prime: witness is the case
+    that holds, or None.  Above the theorem range p > conductor that is
+    the verdict; below it only a conjectural flag, never asserted."""
 
     __slots__ = ()
 
+    @property
+    def verdict(self) -> Verdict:
+        if self.prime <= self.triangle.conductor:
+            return Verdict.BELOW_THEOREM_RANGE
+        return (Verdict.NON_INTEGRAL if self.witness is None
+                else Verdict.INTEGRAL)
+
     def to_json(self) -> dict:
+        verdict = self.verdict
         data = {
             "type": str(self.triangle),
             "p": self.prime,
-            "verdict": self.verdict.value,
+            "verdict": verdict.value,
         }
-        if self.witness is not None:
+        if verdict is Verdict.BELOW_THEOREM_RANGE:
+            data["conjectural_integral"] = self.witness is not None
+        elif self.witness is not None:
             data["witness"] = {
                 "epsilon": self.witness.epsilon,
                 "epsilon_prime": self.witness.epsilon_prime,
                 "branch": self.witness.branch.value,
             }
-        if self.conjectural_integral is not None:
-            data["conjectural_integral"] = self.conjectural_integral
         return data
 
 
@@ -127,39 +134,27 @@ def _congruence_witness(tri: TriangleType, r: int) -> WitnessCase | None:
 
 
 def theorem_classifier(tri: TriangleType, p: int) -> IntegralityVerdict:
-    """Closed-form congruence classifier of the main theorem.
-
-    Below the theorem range the congruence outcome is still reported,
-    flagged conjectural, without a verdict either way.
-    """
+    """Closed-form congruence classifier of the main theorem at any p
+    coprime to the conductor; its range is p > 2*m1*m2 (2*m1 if inf)."""
     require_coprime(tri, p)
-    witness = _congruence_witness(tri, p)
-    if p <= tri.conductor:  # the hypothesis p > 2*m1*m2 (2*m1 if m2 = inf)
-        return IntegralityVerdict(
-            tri, p, Verdict.BELOW_THEOREM_RANGE,
-            conjectural_integral=witness is not None)
-    if witness is None:
-        return IntegralityVerdict(tri, p, Verdict.NON_INTEGRAL)
-    return IntegralityVerdict(tri, p, Verdict.INTEGRAL, witness=witness)
+    return IntegralityVerdict(tri, p, _congruence_witness(tri, p))
 
 
 def hecke_classifier(n: int, p: int) -> bool:
     """Hecke group (2, n, inf): J is p-integral iff p = +-1 mod n.
 
-    For p > 4n the result is cross-checked against the main classifier
-    for the type (2, n); a mismatch would be a bug, not a math fact.
+    Cross-checked at every p against the main classifier's congruences
+    for the type (2, n), which hold iff p = +-1 or n +- 1 mod 2n; a
+    mismatch would be a bug, not a math fact.
     """
     if n < 3:
         raise ValueError("Hecke parameter n must be >= 3")
     if p <= 3 or gcd(p, 2 * n) > 1:
         raise SharedFactor(f"need p > 3 with gcd(p, 2n) = 1; got p = {p}")
     result = p % n in (1, n - 1)
-    if p > 4 * n:
-        verdict = theorem_classifier(TriangleType(2, n), p)
-        if (verdict.verdict == Verdict.INTEGRAL) != result:
-            raise InvariantViolation(
-                f"Hecke criterion disagrees with the main classifier "
-                f"at p = {p}")
+    if (theorem_classifier(TriangleType(2, n), p).witness is None) == result:
+        raise InvariantViolation(
+            f"Hecke criterion disagrees with the main classifier at p = {p}")
     return result
 
 

@@ -63,7 +63,3 @@ class OrderShortfall(TriformsError):
 
 class FormulaMismatch(TriformsError):
     """t-product generator differs from its J-derivative formula."""
-
-
-class VerificationFailure(TriformsError):
-    """A CLI verification suite reported failing cells."""

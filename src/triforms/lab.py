@@ -207,17 +207,18 @@ def mirror_integrality_check(tri: TriangleType, p: int, f: TruncatedSeries,
     return congruence_on_residues(p, (f, g), (f, g), p)
 
 
-def dieudonne_check(u: TruncatedSeries, p: int
-                    ) -> tuple[ValuationProfile, Congruence]:
-    """Both sides of the additive Dieudonne-Dwork equivalence, exactly
-    to order u.truncation: the integrality profile of exp(u), and
-    u(z^p) - p u(z) mod p, which first fails where
-    exp(u(z^p) - p u(z)) - 1 does, decided as the Dwork form with
-    F = 1 and G = u.  The equivalence holds when both sides hold or
-    neither does."""
+def dieudonne_check(u: TruncatedSeries, primes: list[int]
+                    ) -> list[tuple[ValuationProfile, Congruence]]:
+    """Both sides of the additive Dieudonne-Dwork equivalence for each
+    prime p in primes, exactly to order u.truncation: the integrality
+    profile of exp(u), built once, and u(z^p) - p u(z) mod p, which
+    first fails where exp(u(z^p) - p u(z)) - 1 does, decided as the
+    Dwork form with F = 1 and G = u.  The equivalence holds when both
+    sides hold or neither does."""
+    e = exp_series(u)
     fg = (TruncatedSeries.one(u.truncation), u)
-    return (valuation_profile(exp_series(u), p),
-            congruence_on_residues(p, fg, fg, p))
+    return [(valuation_profile(e, p), congruence_on_residues(p, fg, fg, p))
+            for p in primes]
 
 
 def cross_route_consistency(tri: TriangleType, n_order: int) -> None:

@@ -26,7 +26,7 @@ from triforms.halphen import (
     hauptmodul_from_halphen,
     solve_halphen,
 )
-from triforms.hypergeom import frobenius_basis, mirror_map, schwarz_map
+from triforms.hypergeom import frobenius_basis, mirror_map
 from triforms.lab import (
     checked_generators,
     cross_route_consistency,
@@ -34,14 +34,13 @@ from triforms.lab import (
     empirical_integrality,
     generator_integrality,
     generators_via_j,
+    mirror_integrality_check,
     schwarz_congruence_check,
 )
 from triforms.series import LaurentSeries, valuation_profile
 from triforms.rationals import primes
 
-from oracles import (
-    euler_identity_check, exact_congruence, halphen_residuals,
-    substitute_power)
+from oracles import euler_identity_check, halphen_residuals
 
 
 def _report(capsys, number, description, ok):
@@ -287,29 +286,26 @@ def test_criterion_12_hecke_corollary_on_j(capsys):
 
 def test_criterion_13_conjectural_flag_against_series(capsys):
     # Below the theorem range the classifier gives only a conjectural
-    # flag, above it a verdict; both are held against the
-    # Dieudonne-Dwork lemma for exp(D): D(z^p) - p D(z) vanishes mod p
-    # through z^(2p + 20) exactly when exp(D), the mirror map's unit,
-    # is p-integral there.  A clean profile is evidence through the
-    # window, never a proof, and the verdict stays belowTheoremRange.
+    # flag, above it a verdict; both read the theorem's witness, which
+    # is held against the Dieudonne-Dwork lemma for exp(D):
+    # D(z^p) - p D(z) vanishes mod p through z^(2p + 20) exactly when
+    # exp(D), the mirror map's unit, is p-integral there, decided on F
+    # and G by mirror_integrality_check.  A clean profile is evidence
+    # through the window, never a proof, and the verdict stays
+    # belowTheoremRange.
     exceptions, cells, below, top = [], 0, 0, 0
     for tri in _classifier_matrix_types():
         coprime = [p for p in primes(3, 61) if gcd(p, tri.conductor) == 1]
-        d = schwarz_map(HGParams.for_type(tri), 2 * coprime[-1] + 20)
+        f, g = frobenius_basis(HGParams.for_type(tri), 2 * coprime[-1] + 20)
         for p in coprime:
-            window = d.retruncate(2 * p + 20)
-            lemma = exact_congruence(
-                substitute_power(window, p) - p * window, p)
+            window = [s.retruncate(2 * p + 20) for s in (f, g)]
+            lemma = mirror_integrality_check(tri, p, *window)
             verdict = theorem_classifier(tri, p)
-            if verdict.verdict is Verdict.BELOW_THEOREM_RANGE:
-                predicted = verdict.conjectural_integral
-                below += 1
-            else:
-                predicted = verdict.verdict is Verdict.INTEGRAL
-            if lemma.holds() != predicted:
+            below += verdict.verdict is Verdict.BELOW_THEOREM_RANGE
+            if lemma.holds() != (verdict.witness is not None):
                 exceptions.append(f"{tri} p={p}")
             cells += 1
-        top = max(top, d.truncation)
+        top = max(top, f.truncation)
     _report(capsys, 13,
             f"conjectural flag below range, verdict above == Dieudonne-Dwork "
             f"profile of D through z^(2p + 20) (z^{top} at most), "

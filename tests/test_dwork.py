@@ -25,6 +25,8 @@ from triforms.errors import (
 from triforms.halphen import HGParams, TriangleType
 from triforms.rationals import QQ, primes
 
+from conftest import GRID_TYPES
+
 
 class TestDworkMap:
     def test_half_is_fixed(self):
@@ -119,9 +121,9 @@ class TestTheoremClassifier:
         tri = TriangleType(2, 5)
         # below the theorem range (p < 20) the outcome is conjectural
         assert theorem_classifier(tri, 11).verdict is Verdict.BELOW_THEOREM_RANGE
-        assert theorem_classifier(tri, 11).conjectural_integral is True
-        assert theorem_classifier(tri, 19).conjectural_integral is True
-        assert theorem_classifier(tri, 13).conjectural_integral is False
+        assert theorem_classifier(tri, 11).witness is not None
+        assert theorem_classifier(tri, 19).witness is not None
+        assert theorem_classifier(tri, 13).witness is None
         # above the range: hard verdicts
         assert theorem_classifier(tri, 29).verdict is Verdict.INTEGRAL
         assert theorem_classifier(tri, 23).verdict is Verdict.NON_INTEGRAL
@@ -154,6 +156,41 @@ class TestTheoremClassifier:
         with pytest.raises(SharedFactor):
             theorem_classifier(TriangleType(2, 5), 5)
 
+    @pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
+    def test_verdict_and_json_follow_closed_form(self, tri):
+        # the derived verdict and the JSON keys against the theorem read
+        # off the residues directly: p = +-1 mod 2m1 and mod 2m2, or
+        # p = m1 +- 1 mod 2m1 and m2 +- 1 mod 2m2 (p = +-1 mod 2m1 for
+        # m2 = inf); below the range only the flag is written
+        def near(p, m, centre):
+            return (p - centre) % (2 * m) in (1, 2 * m - 1)
+
+        orders = (tri.m1, tri.m2) if tri.m2_finite else (tri.m1,)
+        for p in primes(3, 299):
+            if gcd(p, tri.conductor) > 1:
+                continue
+            integral = (all(near(p, m, 0) for m in orders)
+                        or tri.m2_finite and all(near(p, m, m) for m in orders))
+            v = theorem_classifier(tri, p)
+            if p <= tri.conductor:
+                expected, extra = Verdict.BELOW_THEOREM_RANGE, {
+                    "conjectural_integral"}
+                assert v.to_json()["conjectural_integral"] == integral, p
+            elif integral:
+                expected, extra = Verdict.INTEGRAL, {"witness"}
+            else:
+                expected, extra = Verdict.NON_INTEGRAL, set()
+            assert v.verdict is expected, p
+            assert set(v.to_json()) == {"type", "p", "verdict"} | extra, p
+            assert (v.witness is not None) == integral, p
+            if integral:
+                w = v.witness
+                shift = w.branch is Branch.SHIFTED
+                assert (p - shift * tri.m1 - w.epsilon) % (2 * tri.m1) == 0
+                if tri.m2_finite:
+                    assert (p - shift * tri.m2
+                            - w.epsilon * w.epsilon_prime) % (2 * tri.m2) == 0
+
 
 class TestHecke:
     def test_reference_primes_n5(self):
@@ -164,24 +201,30 @@ class TestHecke:
         assert hecke_classifier(7, 29) is True   # 29 = 1 mod 7
 
     def test_agrees_with_main_classifier(self):
-        for n in (5, 7, 9):
-            for p in primes(4 * n + 1, 399):
+        # at every p, below 4n too: (2, n) has a witness iff
+        # p = +-1 or n +- 1 mod 2n, that is p = +-1 mod n
+        for n in range(3, 41):
+            for p in primes(5, 1999):
                 if gcd(p, 2 * n) > 1:
                     continue
                 expected = p % n in (1, n - 1)
-                assert hecke_classifier(n, p) == expected
+                witness = theorem_classifier(TriangleType(2, n), p).witness
+                assert hecke_classifier(n, p) == expected, (n, p)
+                assert (witness is not None) == expected, (n, p)
 
     def test_rejects_bad_input(self):
         with pytest.raises(SharedFactor):
             hecke_classifier(5, 5)
 
     def test_disagreement_with_main_classifier_is_typed_error(self, monkeypatch):
-        # a main classifier that says non-integral everywhere must clash
-        # with the Hecke criterion at p = 29 = -1 mod 5 (above 4n)
+        # a main classifier with no witness anywhere must clash with the
+        # Hecke criterion at p = 29 = -1 mod 5 (above 4n) and at
+        # p = 11 = 1 mod 5 (below it: the check runs at every p)
         monkeypatch.setattr(dwork, "theorem_classifier", lambda tri, p:
-                            IntegralityVerdict(tri, p, Verdict.NON_INTEGRAL))
-        with pytest.raises(InvariantViolation):
-            hecke_classifier(5, 29)
+                            IntegralityVerdict(tri, p, None))
+        for p in (29, 11):
+            with pytest.raises(InvariantViolation):
+                hecke_classifier(5, p)
 
 
 class TestAlmostIntegral:

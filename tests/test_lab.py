@@ -6,7 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from triforms import hypergeom, lab
-from triforms.dwork import Verdict, dwork_images, theorem_classifier
+from triforms.dwork import dwork_images, theorem_classifier
 from triforms.errors import (
     FormulaMismatch,
     InvariantViolation,
@@ -334,22 +334,18 @@ class TestMirrorIntegrality:
             mirror_integrality_check(TRI25, 5, *basis(TRI25, 20))
 
     @pytest.mark.parametrize("tri", CLASSIFIER_MATRIX, ids=str)
-    def test_is_the_dieudonne_form_of_d(self, tri, monkeypatch):
+    def test_is_the_dieudonne_form_of_d(self, tri):
         # the same Dwork form on residues, once from F and G and once
         # from D with F = 1: equal Congruence values, order 82 included;
-        # and exp(D), built once as it does not depend on p, first fails
-        # integrality at the same index (the lemma, on the data)
+        # and exp(D) first fails integrality at the same index (the
+        # lemma, on the data)
         params = HGParams.for_type(tri)
         fg = frobenius_basis(params, 82)
-        d = schwarz_map(params, 82)
-        e = exp_series(d)
-        monkeypatch.setattr(lab, "exp_series",
-                            lambda u: e if u is d else exp_series(u))
-        for p in primes(3, 99):
-            if gcd(p, tri.conductor) == 1:
-                exp_side, congruence = dieudonne_check(d, p)
-                assert congruence == mirror_integrality_check(tri, p, *fg), p
-                assert exp_side.first_failure == congruence.first_failure, p
+        coprime = [p for p in primes(3, 99) if gcd(p, tri.conductor) == 1]
+        checks = dieudonne_check(schwarz_map(params, 82), coprime)
+        for p, (exp_side, congruence) in zip(coprime, checks):
+            assert congruence == mirror_integrality_check(tri, p, *fg), p
+            assert exp_side.first_failure == congruence.first_failure, p
 
     def test_schwarz_suite_divides_no_series(self, capsys, monkeypatch):
         # the suite decides both columns on F and G: no D = G/F and no
@@ -381,7 +377,7 @@ class TestMirrorIntegrality:
 class TestDieudonne:
     def test_log_one_plus_z(self):
         u = log_series(TruncatedSeries([1, 1], 30))
-        exp_side, cong_side = dieudonne_check(u, 5)
+        [(exp_side, cong_side)] = dieudonne_check(u, [5])
         assert exp_side.holds() and cong_side.holds()
         assert len(exp_side.entries) == 31
         assert cong_side == Congruence(5, 30, None, None)
@@ -389,16 +385,16 @@ class TestDieudonne:
     def test_z_over_p(self):
         p = 5
         u = TruncatedSeries([QQ(0), QQ(1, p)], 20)
-        exp_side, cong_side = dieudonne_check(u, p)
+        [(exp_side, cong_side)] = dieudonne_check(u, [p])
         assert not exp_side.holds() and not cong_side.holds()
 
     def test_zero(self):
-        exp_side, cong_side = dieudonne_check(TruncatedSeries([], 10), 7)
+        [(exp_side, cong_side)] = dieudonne_check(TruncatedSeries([], 10), [7])
         assert exp_side.holds() and cong_side.holds()
 
     def test_on_schwarz_map(self):
         # u = D(a,b|z) for an integral prime: both predicates true
-        exp_side, cong_side = dieudonne_check(base_map(TRI25, 40), 11)
+        [(exp_side, cong_side)] = dieudonne_check(base_map(TRI25, 40), [11])
         assert exp_side.holds() and cong_side.holds()
 
     @given(st.sampled_from([2, 3, 5, 7]),
@@ -409,7 +405,7 @@ class TestDieudonne:
         # exp(w) - 1; u's coefficients c p^k mix valuations -1, 0 and 1
         u = TruncatedSeries([QQ(0)] + [c * QQ(p) ** k for c, k in terms], 8)
         w = substitute_power(u, p) - p * u
-        _, additive = dieudonne_check(u, p)
+        [(_, additive)] = dieudonne_check(u, [p])
         exp_form = exact_congruence(exp_series(w) - 1, p)
         assert additive.first_failure == exp_form.first_failure
 
@@ -422,23 +418,22 @@ class TestDieudonne:
         # valuations -1, 0 and 1 with units and zeros
         u = TruncatedSeries([QQ(0)] + [c * QQ(p) ** k / d
                                        for c, k, d in terms], n_order)
-        _, congruence = dieudonne_check(u, p)
+        [(_, congruence)] = dieudonne_check(u, [p])
         assert congruence == exact_congruence(
             substitute_power(u, p) - p * u, p)
 
     @pytest.mark.parametrize("tri", BEYOND_CLASSIFIER_MATRIX, ids=str)
     def test_lemma_matches_theorem_beyond_classifier_matrix(self, tri):
-        # the theorem's verdict equals the profile of D(z^p) - p D(z)
-        # mod p through z^(2p + 20), for the first two primes above
-        # the conductor
+        # the theorem's witness is present exactly when D(z^p) - p D(z)
+        # vanishes mod p through z^(2p + 20), decided on F and G, for
+        # the first two primes above the conductor
         above = primes(tri.conductor + 1, 2 * tri.conductor + 20)[:2]
-        d = base_map(tri, 2 * above[-1] + 20)
+        f, g = basis(tri, 2 * above[-1] + 20)
         for p in above:
-            window = d.retruncate(2 * p + 20)
-            lemma = exact_congruence(
-                substitute_power(window, p) - p * window, p)
-            verdict = theorem_classifier(tri, p).verdict
-            assert lemma.holds() == (verdict is Verdict.INTEGRAL), p
+            window = [s.retruncate(2 * p + 20) for s in (f, g)]
+            lemma = mirror_integrality_check(tri, p, *window)
+            witness = theorem_classifier(tri, p).witness
+            assert lemma.holds() == (witness is not None), p
 
 
 class TestCrossRoute:

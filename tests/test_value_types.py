@@ -3,7 +3,7 @@ keyword, compared and hashed by their fields, shown as Name(field=...)."""
 
 import pytest
 
-from triforms.dwork import Branch, IntegralityVerdict, Verdict, WitnessCase
+from triforms.dwork import Branch, IntegralityVerdict, WitnessCase
 from triforms.halphen import HalphenSolution, HGParams, TriangleType, solve_halphen
 from triforms.lab import Congruence
 from triforms.rationals import QQ
@@ -23,13 +23,10 @@ CASES = [
      "HalphenSolution(t1=1, t2=2, t3=3)"),
     (WitnessCase, {"epsilon": 1, "epsilon_prime": -1, "branch": Branch.SHIFTED},
      "WitnessCase(epsilon=1, epsilon_prime=-1, branch=<Branch.SHIFTED: 'shifted'>)"),
-    (IntegralityVerdict, {"triangle": TRI, "prime": 11,
-                          "verdict": Verdict.INTEGRAL, "witness": WITNESS,
-                          "conjectural_integral": True},
+    (IntegralityVerdict, {"triangle": TRI, "prime": 11, "witness": WITNESS},
      "IntegralityVerdict(triangle=TriangleType(m1=2, m2=5), prime=11, "
-     "verdict=<Verdict.INTEGRAL: 'integral'>, witness=WitnessCase("
-     "epsilon=1, epsilon_prime=-1, branch=<Branch.SHIFTED: 'shifted'>), "
-     "conjectural_integral=True)"),
+     "witness=WitnessCase(epsilon=1, epsilon_prime=-1, "
+     "branch=<Branch.SHIFTED: 'shifted'>))"),
     (ValuationProfile, {"prime": 7, "entries": (0, None, 2),
                         "start_index": -1},
      "ValuationProfile(prime=7, entries=(0, None, 2), start_index=-1)"),
@@ -67,9 +64,11 @@ def test_repr(cls, fields, text):
 def test_defaults():
     profile = ValuationProfile(7, (0, 1))
     assert profile.start_index == 0
-    verdict = IntegralityVerdict(TRI, 11, Verdict.NON_INTEGRAL)
-    assert verdict.witness is None
-    assert verdict.conjectural_integral is None
+    # the verdict is derived from the witness, which has no default
+    assert IntegralityVerdict._fields == ("triangle", "prime", "witness")
+    assert IntegralityVerdict._field_defaults == {}
+    with pytest.raises(TypeError):
+        IntegralityVerdict(TRI, 11)
 
 
 @pytest.mark.parametrize("make", [
