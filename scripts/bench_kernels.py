@@ -2,9 +2,10 @@
 """Kernel bench: process time of each series kernel at several orders.
 
 Times mul (F G), divide (D = G/F), exp (exp D), log (log exp D),
-compose (q(z(q)) for the mirror map q) and reversion (z(q)) on the
-hypergeometric series of each type in TYPES at each order in ORDERS,
-and the coefficient loops of tests/oracles.py beside divide and exp, so
+compose (q(z(q)) for the mirror map q), reversion (z(q)) and the last
+stage of the hypergeometric J, J = 1/z(kappa q) from q (hauptmodul
+mirror), on the hypergeometric series of each type in TYPES at each
+order in ORDERS, and the coefficient loops of tests/oracles.py beside divide and exp, so
 the order where Newton iteration starts to pay is on record.  It also
 times, for each type and order, the Halphen solve and the basis F, G,
 each on integer numerators over one denominator and as the
@@ -59,7 +60,8 @@ from triforms import series  # noqa: E402
 from triforms.dwork import dwork_images  # noqa: E402
 from triforms.halphen import (  # noqa: E402
     HGParams, TriangleType, solve_halphen)
-from triforms.hypergeom import frobenius_basis, mirror_map  # noqa: E402
+from triforms.hypergeom import (  # noqa: E402
+    frobenius_basis, hauptmodul_from_mirror, mirror_map)
 from triforms.lab import (  # noqa: E402
     dwork_congruence_check,
     empirical_integrality,
@@ -158,6 +160,7 @@ def kernels(tri, n):
         ("log", "newton", lambda: series.log_series(unit)),
         ("compose", "horner", lambda: series.compose(q, z)),
         ("reversion", "newton", lambda: series.reversion(q)),
+        ("hauptmodul", "mirror", lambda: hauptmodul_from_mirror(q, tri.kappa)),
         ("halphen", "integer", lambda: solve_halphen(tri, n)),
         ("halphen", "loop", lambda: solve_halphen_by_fractions(tri, n)),
         ("fg", "integer", lambda: frobenius_basis(params, n)),

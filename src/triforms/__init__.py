@@ -22,7 +22,6 @@ from .dwork import (
     theorem_classifier,
 )
 from .lab import (
-    Classification,
     checked_generators,
     cross_route_consistency,
     dwork_congruence_check,

@@ -47,19 +47,16 @@ class SharedFactor(TriformsError):
 # --- verification lab ----------------------------------------------------
 
 class RouteMismatch(TriformsError):
-    """Halphen and hypergeometric Hauptmoduls disagree at some index."""
+    """Two routes to one series disagree at some index: the Halphen and
+    hypergeometric J, or a generator's t-product and J-formula."""
 
-    def __init__(self, index, lhs, rhs):
+    def __init__(self, what, index, lhs, rhs):
         self.index = index
         self.lhs = lhs
         self.rhs = rhs
         super().__init__(
-            f"routes disagree at q^{index}: {lhs} vs {rhs}")
+            f"{what}: the routes disagree at q^{index}: {lhs} vs {rhs}")
 
 
 class OrderShortfall(TriformsError):
     """The computed series do not reach the order that was requested."""
-
-
-class FormulaMismatch(TriformsError):
-    """t-product generator differs from its J-derivative formula."""

@@ -1,8 +1,8 @@
 """Gauss hypergeometric route in two stages: the Frobenius basis
 {F, F log z + G}, the Schwarz map D = G/F and the mirror map
-q(a,b|z) = z exp(D); then the Hauptmodul J = 1/z(kappa*q) from the
-reversion z(q), with kappa = 2 m1^2 m2^2 (2 m1^2 when m2 is infinite),
-`TriangleType.kappa`.
+q(a,b|z) = z exp(D); then the Hauptmodul J = 1/z(kappa*q), where
+z(kappa*q) is the compositional inverse of q(a,b|z)/kappa, with
+kappa = 2 m1^2 m2^2 (2 m1^2 when m2 is infinite), `TriangleType.kappa`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .series import (
     divide,
     exp_series,
     reversion,
-    scale_argument,
     series_over,
 )
 
@@ -91,7 +90,9 @@ def hauptmodul_from_mirror(q_of_z: TruncatedSeries, kappa) -> LaurentSeries:
     """J = 1/z(kappa*q) for z(q) the compositional inverse of the mirror
     map q_of_z: a Laurent series with a first-order pole, the quotient
     of the power series 1 and z at the truncation of z, which keeps J
-    to q^(N-2) for z to q^N.  Agreement with the Halphen J is checked
-    separately in the verification lab."""
-    z = scale_argument(reversion(q_of_z), kappa)
+    to q^(N-2) for z to q^N.  If g reverts s, then s(g(kappa*q)) =
+    kappa*q, so z(kappa*q) reverts q_of_z / kappa, for the int kappa
+    of TriangleType.  Agreement with the Halphen J is checked in lab."""
+    z = reversion(series_over(q_of_z.nums, q_of_z.den * kappa,
+                              q_of_z.truncation))
     return LaurentSeries(TruncatedSeries.one(z.truncation)) / LaurentSeries(z)

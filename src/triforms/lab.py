@@ -63,10 +63,8 @@ profile at order N is bounded evidence, never a proof.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
-from .errors import (
-    FormulaMismatch, InvariantViolation, OrderShortfall, RouteMismatch)
+from .errors import InvariantViolation, OrderShortfall, RouteMismatch
 from .halphen import (
     HGParams,
     TriangleType,
@@ -89,16 +87,6 @@ from .series import (
     valuation_profile,
     ValuationProfile,
 )
-
-
-class Classification(Enum):
-    INTEGRAL_EVIDENCE = "integralEvidence"
-    NON_INTEGRAL_EVIDENCE = "nonIntegralEvidence"
-
-    @classmethod
-    def of(cls, profile: ValuationProfile | Congruence) -> "Classification":
-        return (cls.INTEGRAL_EVIDENCE if profile.holds()
-                else cls.NON_INTEGRAL_EVIDENCE)
 
 
 def empirical_integrality(tri: TriangleType, p: int,
@@ -221,25 +209,32 @@ def dieudonne_check(u: TruncatedSeries, primes: list[int]
             for p in primes]
 
 
-def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
-    """Halphen J must equal hypergeometric J coefficient-exactly through
-    q^n_order.
-
-    Each route loses orders to division and reversion: both J's reach
-    q^n_order from inputs at order n_order + 2, and a shorter common
-    truncation raises OrderShortfall.  Any disagreement raises
-    RouteMismatch.
-    """
-    j_halphen = hauptmodul_from_halphen(solve_halphen(tri, n_order + 2))
-    j_hyper = hauptmodul_from_mirror(
-        mirror_map(HGParams.for_type(tri), n_order + 2), tri.kappa)
-    top = min(j_halphen.truncation, j_hyper.truncation)
+def _require_agreement(what: str, x: LaurentSeries, y: LaurentSeries,
+                       n_order: int) -> None:
+    """The agreement contract of the cross-checks: x and y, two routes
+    to one series, both reach q^n_order (OrderShortfall otherwise) and
+    agree exactly through their common truncation (RouteMismatch at the
+    first exponent where they differ otherwise); what names the check."""
+    top = min(x.truncation, y.truncation)
     if top < n_order:
         raise OrderShortfall(
-            f"cross-route {tri}: the routes reach q^{top}, not q^{n_order}")
-    e = j_halphen.agrees_with(j_hyper)
+            f"{what}: the routes reach q^{top}, not q^{n_order}")
+    e = x.agrees_with(y)
     if e is not None:
-        raise RouteMismatch(e, j_halphen.coefficient(e), j_hyper.coefficient(e))
+        raise RouteMismatch(what, e, x.coefficient(e), y.coefficient(e))
+
+
+def cross_route_consistency(tri: TriangleType, n_order: int) -> None:
+    """Halphen J must equal hypergeometric J coefficient-exactly through
+    q^n_order, by _require_agreement: each route loses orders to
+    division and reversion, and both J's reach q^n_order from inputs
+    at order n_order + 2."""
+    _require_agreement(
+        f"cross-route {tri}",
+        hauptmodul_from_halphen(solve_halphen(tri, n_order + 2)),
+        hauptmodul_from_mirror(
+            mirror_map(HGParams.for_type(tri), n_order + 2), tri.kappa),
+        n_order)
 
 
 def generators_via_j(kind: int, ks: range, j: LaurentSeries
@@ -270,8 +265,8 @@ def checked_generators(tri: TriangleType, n_order: int
                        ) -> list[tuple[str, TruncatedSeries]]:
     """Every generator in the algebra lists, labelled, to order n_order.
     Each kind's list is built as t-products and by the J-derivative
-    formula, each from one power ladder; the two must agree exactly
-    through q^n_order, and a shorter common window raises OrderShortfall."""
+    formula, each from one power ladder; the two must reach q^n_order
+    and agree exactly, by _require_agreement."""
     sol = solve_halphen(tri, n_order + 2)
     j = hauptmodul_from_halphen(sol)
     generators = []
@@ -280,16 +275,8 @@ def checked_generators(tri: TriangleType, n_order: int
         for k, series, alt in zip(ks, builder(ks, sol),
                                   generators_via_j(kind, ks, j)):
             label = f"E{kind}_{2 * k}"
-            top = min(alt.truncation, series.truncation)
-            if top < n_order:
-                raise OrderShortfall(
-                    f"{label} for {tri}: the two formulas reach "
-                    f"q^{top}, not q^{n_order}")
-            mismatch = alt.agrees_with(LaurentSeries(series))
-            if mismatch is not None:
-                raise FormulaMismatch(
-                    f"E^({kind})_{2 * k} for {tri}: t-product and "
-                    f"J-formula differ at q^{mismatch}")
+            _require_agreement(f"{label} for {tri}", alt,
+                               LaurentSeries(series), n_order)
             generators.append((label, series.retruncate(n_order)))
     return generators
 

@@ -304,16 +304,6 @@ def theta_derivative(s: TruncatedSeries) -> TruncatedSeries:
                        s.truncation)
 
 
-def scale_argument(s: TruncatedSeries, kappa) -> TruncatedSeries:
-    """q -> kappa*q: c_n -> kappa^n c_n, for kappa = u/v as
-    c_n u^n v^(N-n) / v^N."""
-    u, v = numden(kappa)
-    n = s.truncation
-    return series_over(
-        [x * u ** i * v ** (n - i) for i, x in enumerate(s.nums)],
-        s.den * v ** n, n)
-
-
 def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f(g(q)) for g with zero constant term (Horner evaluation).
 

@@ -5,9 +5,10 @@ coefficient loops that the Newton kernels of divide and exp_series
 and the integer Halphen solve replaced, the reduced-rational loops
 that the integer F and G replaced, the per-weight generator builder
 that the power ladder replaced, the exact twisted Schwarz map that
-the residue congruence checks replaced, and the substitution z -> z^p
+the residue congruence checks replaced, the substitution z -> z^p
 with the exact mod-p reading that the Dwork form on residues
-replaced."""
+replaced, and the scaling q -> kappa*q that J = 1/z(kappa*q) took
+after the reversion before it became the reversion of q(a,b|z)/kappa."""
 
 from triforms.dwork import dwork_images, require_coprime
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
@@ -67,6 +68,16 @@ def substitute_power(s: TruncatedSeries, p: int) -> TruncatedSeries:
     out = [0] * (n + 1)
     out[::p] = s.nums[: n // p + 1]
     return series_over(out, s.den, n)
+
+
+def scale_argument(s: TruncatedSeries, kappa) -> TruncatedSeries:
+    """q -> kappa*q: c_n -> kappa^n c_n, for kappa = u/v as
+    c_n u^n v^(N-n) / v^N."""
+    u, v = numden(kappa)
+    n = s.truncation
+    return series_over(
+        [x * u ** i * v ** (n - i) for i, x in enumerate(s.nums)],
+        s.den * v ** n, n)
 
 
 def exact_congruence(x: TruncatedSeries, p: int) -> Congruence:

@@ -15,6 +15,7 @@ from triforms.hypergeom import (
 )
 from triforms.rationals import QQ, numden
 from triforms.series import (
+    LaurentSeries,
     TruncatedSeries,
     compose,
     reversion,
@@ -27,12 +28,18 @@ from oracles import (
     complement,
     euler_identity_check,
     hypergeometric_operator_residual,
+    scale_argument,
     series_f_by_fractions,
     series_g_by_fractions,
 )
 
 TRI23 = TriangleType(2, 3)
 TRI37 = TriangleType(3, 7)
+
+# the cross-route benchmark's types: hyperbolic (m1, m2) with m2 <= 8,
+# and (2,inf) and (3,inf)
+CROSS_ROUTE_TYPES = [t for t in GRID_TYPES if t.m2_finite and t.m2 <= 8] + [
+    TriangleType(2, None), TriangleType(3, None)]
 
 
 def pochhammer(x, n):
@@ -211,6 +218,15 @@ class TestMirrorMap:
             mirror_map(HGParams.for_type(TRI23), 8), TRI23.kappa)
         assert j.lowest_exponent == -1
         assert j.coefficient(-1) == QQ(1, TRI23.kappa)
+
+    @pytest.mark.parametrize("tri", CROSS_ROUTE_TYPES, ids=str)
+    def test_j_is_reciprocal_of_scaled_reversion(self, tri):
+        # z(kappa q) as the reversion of q(a,b|z)/kappa equals the
+        # reversion z(q) scaled afterwards, the construction it replaced
+        q = mirror_map(HGParams.for_type(tri), 30)
+        z = scale_argument(reversion(q), tri.kappa)
+        assert hauptmodul_from_mirror(q, tri.kappa) == \
+            LaurentSeries(TruncatedSeries.one(30)) / LaurentSeries(z)
 
     def test_agrees_with_halphen_route(self):
         from triforms.halphen import hauptmodul_from_halphen

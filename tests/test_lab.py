@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from triforms import hypergeom, lab
 from triforms.dwork import dwork_images, theorem_classifier
 from triforms.errors import (
-    FormulaMismatch,
     InvariantViolation,
     OrderShortfall,
     RouteMismatch,
@@ -19,7 +18,6 @@ from triforms.halphen import (
 from triforms.hypergeom import (
     frobenius_basis, hauptmodul_from_mirror, mirror_map, schwarz_map)
 from triforms.lab import (
-    Classification,
     Congruence,
     checked_generators,
     congruence_on_residues,
@@ -87,7 +85,7 @@ class TestEmpiricalIntegrality:
         q = q_map(TRI25, 61)
         for p in (11, 19):
             v = empirical_integrality(TRI25, p, q)
-            assert Classification.of(v) is Classification.INTEGRAL_EVIDENCE
+            assert v.holds()
             assert v.first_failure is None
             assert (v.prime, v.start_index) == (p, 0)
             assert len(v.entries) == 62
@@ -98,7 +96,7 @@ class TestEmpiricalIntegrality:
         q = q_map(TRI25, 101)
         for p, index in ((13, 14), (17, 18)):
             v = empirical_integrality(TRI25, p, q)
-            assert Classification.of(v) is Classification.NON_INTEGRAL_EVIDENCE
+            assert not v.holds()
             assert v.first_failure == index
 
     def test_rejects_shared_factor(self):
@@ -452,15 +450,20 @@ class TestCrossRoute:
         # a mirror route one order short cannot certify the order asked
         monkeypatch.setattr(lab, "mirror_map", lambda params, n:
                             mirror_map(params, n - 1))
-        with pytest.raises(OrderShortfall):
+        with pytest.raises(OrderShortfall) as exc:
             cross_route_consistency(TriangleType(2, 3), 10)
+        assert "cross-route (2,3)" in str(exc.value)
 
     def test_mismatch_is_hard_error(self, monkeypatch):
         # a mirror route scaled by -kappa disagrees from the pole on
         monkeypatch.setattr(lab, "hauptmodul_from_mirror", lambda q, kappa:
                             hauptmodul_from_mirror(q, -kappa))
-        with pytest.raises(RouteMismatch):
+        with pytest.raises(RouteMismatch) as exc:
             cross_route_consistency(TriangleType(2, 3), 8)
+        kappa = TriangleType(2, 3).kappa
+        assert (exc.value.index, exc.value.lhs, exc.value.rhs) == (
+            -1, QQ(1, kappa), QQ(-1, kappa))
+        assert "cross-route (2,3)" in str(exc.value)
 
 
 class TestGeneratorIntegrality:
@@ -498,8 +501,11 @@ class TestGeneratorIntegrality:
         monkeypatch.setattr(lab, "generators_via_j", lambda *args: [
             LaurentSeries(2 * s.body, s.lowest_exponent)
             for s in real(*args)])
-        with pytest.raises(FormulaMismatch):
+        with pytest.raises(RouteMismatch) as exc:
             checked_generators(TRI25, 10)
+        # the J-formula, doubled, against the t-product at q^0
+        assert (exc.value.index, exc.value.lhs, exc.value.rhs) == (0, 2, 1)
+        assert "E2_4 for (2,5)" in str(exc.value)
 
     def test_short_formula_window_is_typed_error(self, monkeypatch):
         # a J-formula route that stops below the order asked for cannot
@@ -509,8 +515,9 @@ class TestGeneratorIntegrality:
             LaurentSeries(s.body.retruncate(9 - s.lowest_exponent),
                           s.lowest_exponent)
             for s in real(*args)])
-        with pytest.raises(OrderShortfall):
+        with pytest.raises(OrderShortfall) as exc:
             checked_generators(TRI25, 10)
+        assert "E2_4 for (2,5)" in str(exc.value)
         checked_generators(TRI25, 9)
 
     def test_e4_e6_identity(self):

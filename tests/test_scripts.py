@@ -22,12 +22,13 @@ def test_bench_kernels_smoke():
         ("mul", "packed"), ("divide", "newton"), ("divide", "loop"),
         ("exp", "newton"), ("exp", "loop"), ("log", "newton"),
         ("compose", "horner"), ("reversion", "newton"),
+        ("hauptmodul", "mirror"),
         ("halphen", "integer"), ("halphen", "loop"),
         ("fg", "integer"), ("fg", "loop"),
         ("congruence", "schwarz-residue"), ("congruence", "schwarz-exact"),
         ("congruence", "dwork-residue"), ("congruence", "dwork-exact"),
         ("mirror-verdict", "exact"), ("mirror-verdict", "residue")}
-    assert len(rows) == 18 * 2 * 2
+    assert len(rows) == 19 * 2 * 2
     assert {(r["type"], r["N"]) for r in rows} == {
         (t, n) for t in ("(2,5)", "(2,inf)") for n in (6, 9)}
     for r in rows:
