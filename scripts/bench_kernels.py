@@ -29,8 +29,8 @@ a solve, of F and G together for a basis, and of the F and G that a
 congruence or a mirror verdict takes as its input), and the largest
 denominator den any series product packed an operand over (with its
 excess over the largest single reduced denominator of that operand).
-It is then timed unwrapped, once, or five times keeping the fastest
-when one run takes under half a second.
+It is then timed unwrapped SAMPLES times: each row records the median
+sample as seconds, beside the least and the greatest.
 The JSON also records the rational backend, the Python version, the
 platform and the src/ line count.
 """
@@ -72,8 +72,7 @@ from triforms.rationals import RATIONAL_BACKEND, numden, primes  # noqa: E402
 
 ORDERS = (30, 60, 120, 240)
 TYPES = (TriangleType(2, 5), TriangleType(3, 4), TriangleType(2, None))
-QUICK_S = 0.5
-QUICK_RUNS = 5
+SAMPLES = 3
 
 
 class Heights:
@@ -114,16 +113,14 @@ def max_bits(result):
 
 
 def timed(fn):
-    """Fastest process time of fn over one run, or QUICK_RUNS runs when
-    one takes under QUICK_S seconds."""
-    best, runs = None, 0
-    while runs < (QUICK_RUNS if best is None or best < QUICK_S else 1):
+    """(median, least, greatest) process time of fn over SAMPLES runs."""
+    samples = []
+    for _ in range(SAMPLES):
         start = process_time()
         fn()
-        elapsed = process_time() - start
-        best = elapsed if best is None else min(best, elapsed)
-        runs += 1
-    return best, runs
+        samples.append(process_time() - start)
+    samples.sort()
+    return samples[len(samples) // 2], samples[0], samples[-1]
 
 
 def moving_prime(tri):
@@ -188,10 +185,11 @@ def bench(types, orders):
                 with Heights() as heights:
                     result = thunk()
                 num_bits, den_bits = max_bits(sized[0] if sized else result)
-                seconds, runs = timed(thunk)
+                seconds, least, greatest = timed(thunk)
                 results.append({
                     "kernel": kernel, "impl": impl, "type": str(tri), "N": n,
-                    "seconds": round(seconds, 6), "runs": runs,
+                    "seconds": round(seconds, 6), "min_s": round(least, 6),
+                    "max_s": round(greatest, 6),
                     "max_num_bits": num_bits, "max_den_bits": den_bits,
                     "common_den_bits": heights.common_bits,
                     "common_den_excess_bits": heights.excess_bits,
@@ -211,6 +209,7 @@ def main(argv=None):
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "clock": "process_time",
+        "samples": SAMPLES,
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in sorted((ROOT / "src" / "triforms")
                                          .glob("*.py"))),

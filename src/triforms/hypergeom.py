@@ -20,42 +20,38 @@ from .series import (
 )
 
 
-def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
-    """F(a,b|z) = sum A_n z^n, A_n = (a)_n (b)_n / n!^2, on integers:
-    with a = A/M and b = B/M, A_(n+1) = A_n (A + nM)(B + nM) / (M(n+1))^2.
-    A_n = y_n / L_n for L_n the lcm of the denominators of A_0..A_n:
-    with x = y_n (A + nM)(B + nM) and g = gcd(x, (M(n+1))^2),
-    y_(n+1) = x / g and L_(n+1) = L_n (M(n+1))^2 / g."""
+def frobenius_basis(params: HGParams, n_order: int
+                    ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """(F, G) for (a, b) = params to order n_order, on integers: F(a,b|z)
+    = sum A_n z^n, A_n = (a)_n (b)_n / n!^2, and G(a,b|z) = sum A_n H_n z^n,
+    H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)).  With a = A/M, b = B/M,
+    x = A + nM, y = B + nM and c = M(n+1), A_(n+1) = A_n x y c / c^3 and
+    B_(n+1) = (B_n x y c + A_n M (x c + y c - 2 x y)) / c^3, numerators over
+    one denominator L_n; each step divides both and c^3 by their gcd."""
     A, B, M = params.over_common_denominator()
-    ys, steps = [1], [1]
-    for i in range(n_order):
-        x, step = ys[-1] * (A + i * M) * (B + i * M), (M * (i + 1)) ** 2
-        g = gcd(x, step)
-        ys.append(x // g)
-        steps.append(step // g)
-    return _over_last_denominator(ys, steps, n_order)
-
-
-def series_g(params: HGParams, n_order: int) -> TruncatedSeries:
-    """G(a,b|z) = sum B_n z^n, B_n = A_n H_n for the F coefficients A_n
-    and H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)), on integers:
-    with x = A + nM, y = B + nM and c = M(n+1),
-    B_(n+1) = (B_n x y c + A_n M (x c + y c - 2 x y)) / c^3.
-    A_n and B_n are carried as numerators over one denominator L_n,
-    and each step divides c^3 and both new numerators by their gcd."""
-    A, B, M = params.over_common_denominator()
-    f_num, ws, steps = 1, [0], [1]
+    fs, gs, steps = [1], [0], [1]
     for i in range(n_order):
         x, y, c = A + i * M, B + i * M, M * (i + 1)
         xyc = x * y * c
-        f_next = f_num * xyc
-        w_next = ws[-1] * xyc + f_num * M * ((x + y) * c - 2 * x * y)
+        f_next = fs[-1] * xyc
+        g_next = gs[-1] * xyc + fs[-1] * M * ((x + y) * c - 2 * x * y)
         step = c ** 3
-        g = gcd(step, f_next, w_next)  # the small operand first
-        f_num = f_next // g
-        ws.append(w_next // g)
-        steps.append(step // g)
-    return _over_last_denominator(ws, steps, n_order)
+        d = gcd(step, f_next, g_next)  # the small operand first
+        fs.append(f_next // d)
+        gs.append(g_next // d)
+        steps.append(step // d)
+    return (_over_last_denominator(fs, steps, n_order),
+            _over_last_denominator(gs, steps, n_order))
+
+
+def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
+    """F(a,b|z) to order n_order: the first half of frobenius_basis."""
+    return frobenius_basis(params, n_order)[0]
+
+
+def series_g(params: HGParams, n_order: int) -> TruncatedSeries:
+    """G(a,b|z) to order n_order: the second half of frobenius_basis."""
+    return frobenius_basis(params, n_order)[1]
 
 
 def _over_last_denominator(nums, steps, n_order: int) -> TruncatedSeries:
@@ -66,12 +62,6 @@ def _over_last_denominator(nums, steps, n_order: int) -> TruncatedSeries:
         scaled.append(num * scale)
         scale *= step
     return series_over(scaled[::-1], scale, n_order)
-
-
-def frobenius_basis(params: HGParams, n_order: int
-                    ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(F, G) for (a, b) = params, to order n_order."""
-    return series_f(params, n_order), series_g(params, n_order)
 
 
 def schwarz_map(params: HGParams, n_order: int) -> TruncatedSeries:

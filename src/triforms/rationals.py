@@ -44,9 +44,16 @@ def int_valuation(n: int, p: int) -> int:
 
 
 def primes(lo: int, hi: int) -> list:
-    """The primes p with lo <= p <= hi, by trial division."""
-    return [n for n in range(max(lo, 2), hi + 1)
-            if all(n % d for d in range(2, isqrt(n) + 1))]
+    """The primes p with lo <= p <= hi: the multiples of each d <= sqrt(hi),
+    from the larger of d^2 and the first one >= lo, struck from [lo, hi]."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    alive = bytearray([1]) * (hi - lo + 1)
+    for d in range(2, isqrt(hi) + 1):
+        first = max(d * d, -(-lo // d) * d)
+        alive[first - lo::d] = bytes((hi - first) // d + 1)
+    return [lo + i for i, flag in enumerate(alive) if flag]
 
 
 def rational_to_str(x) -> str:

@@ -438,12 +438,12 @@ class LaurentSeries:
 
 
 def power_ladder(factor, ratio, exponents):
-    """factor ratio^e for each e of a run of consecutive ascending
-    integers: the first power by **, each later one the last times ratio."""
-    powers = [ratio ** e for e in exponents[:1]]
+    """factor ratio^e for each e of a run of consecutive ascending integers:
+    the first by ** and one product, each later one the last times ratio."""
+    ladder = [factor * ratio ** e for e in exponents[:1]]
     for _ in exponents[1:]:
-        powers.append(powers[-1] * ratio)
-    return [factor * power for power in powers]
+        ladder.append(ladder[-1] * ratio)
+    return ladder
 
 
 # --------------------------------------------------------------------------

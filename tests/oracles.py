@@ -7,8 +7,11 @@ that the integer F and G replaced, the per-weight generator builder
 that the power ladder replaced, the exact twisted Schwarz map that
 the residue congruence checks replaced, the substitution z -> z^p
 with the exact mod-p reading that the Dwork form on residues
-replaced, and the scaling q -> kappa*q that J = 1/z(kappa*q) took
-after the reversion before it became the reversion of q(a,b|z)/kappa."""
+replaced, the scaling q -> kappa*q that J = 1/z(kappa*q) took
+after the reversion before it became the reversion of q(a,b|z)/kappa,
+and the trial division that the prime sieve replaced."""
+
+from math import isqrt
 
 from triforms.dwork import dwork_images, require_coprime
 from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
@@ -262,3 +265,9 @@ def rational_valuation(x, p: int):
     if num == 0:
         return None
     return int_valuation(num, p) - int_valuation(den, p)
+
+
+def primes_by_trial_division(lo: int, hi: int) -> list:
+    """The primes p with lo <= p <= hi, each n tested by trial division."""
+    return [n for n in range(max(lo, 2), hi + 1)
+            if all(n % d for d in range(2, isqrt(n) + 1))]

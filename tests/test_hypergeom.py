@@ -142,6 +142,17 @@ class TestIntegerBasis:
     def test_matches_fraction_loops_on_grid(self, tri, n_order):
         assert_same_basis(HGParams.for_type(tri), n_order)
 
+    @pytest.mark.parametrize("tri", GRID_TYPES, ids=str)
+    @pytest.mark.parametrize("n_order", [0, 1, 2, 30])
+    def test_series_f_and_g_are_the_halves_of_the_basis(self, tri, n_order):
+        params = HGParams.for_type(tri)
+        f_loop = series_f_by_fractions(params, n_order)
+        halves = [(s.nums, s.den, s.truncation) for s in (
+            series_f(params, n_order), series_g(params, n_order),
+            *frobenius_basis(params, n_order),
+            f_loop, series_g_by_fractions(params, f_loop))]
+        assert halves[:2] == halves[2:4] == halves[4:]
+
     @given(st.integers(2, 40).flatmap(lambda den: st.lists(
         st.integers(1, den - 1), min_size=2, max_size=2).map(
         lambda xs: HGParams(QQ(max(xs), den), QQ(min(xs), den)))),
