@@ -10,7 +10,7 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
-from .errors import InvariantViolation, PrimeDividesDenominator, SharedFactor
+from .errors import InvariantViolation, SharedFactor
 from .halphen import HGParams, TriangleType
 from .rationals import QQ, numden
 
@@ -33,7 +33,7 @@ def dwork_map(x, p: int):
     if x2 > 1 and x1 > x2:
         raise ValueError("dwork_map expects x < 1 unless x is an integer")
     if x2 % p == 0:
-        raise PrimeDividesDenominator(f"p = {p} divides denominator {x2}")
+        raise SharedFactor(f"p = {p} divides denominator {x2}")
     if x2 == 1:
         image = QQ((x1 + (-x1) % p) // p)
     else:

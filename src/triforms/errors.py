@@ -10,41 +10,18 @@ class InvariantViolation(TriformsError):
     mathematical fact."""
 
 
-# --- series arithmetic ---------------------------------------------------
-
-class ZeroConstantTerm(TriformsError):
-    """Division by a series whose constant term vanishes."""
-
-
-class NonzeroConstantTerm(TriformsError):
-    """exp (or a z*Q[[z]] argument) requires constant term 0."""
-
-
-class ConstantTermNotOne(TriformsError):
-    """log requires constant term 1."""
-
-
-class NotInvertible(TriformsError):
-    """Compositional inversion needs s(0) = 0 and s'(0) != 0."""
-
-
-# --- Halphen solver ------------------------------------------------------
-
-class DegenerateDenominator(TriformsError):
-    """t3 - t1 has zero linear coefficient; the Hauptmodul has no pole."""
-
-
-# --- Dwork / classifiers -------------------------------------------------
-
-class PrimeDividesDenominator(TriformsError):
-    """The Dwork map needs p coprime to the denominator."""
+class SeriesDomainError(TriformsError):
+    """A series operation outside its domain: division by a series with
+    constant term 0, exp or an inner composition argument with constant
+    term != 0, log with constant term != 1, or reversion without
+    s(0) = 0 and s'(0) != 0."""
 
 
 class SharedFactor(TriformsError):
-    """A classifier was called with gcd(p, 2*m1*m2) > 1."""
+    """p shares a factor with a denominator it must be coprime to: the
+    conductor 2*m1*m2 of a classifier, or the denominator of the Dwork
+    map's argument."""
 
-
-# --- verification lab ----------------------------------------------------
 
 class RouteMismatch(TriformsError):
     """Two routes to one series disagree at some index: the Halphen and

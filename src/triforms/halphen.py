@@ -34,7 +34,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DegenerateDenominator, InvariantViolation
+from .errors import InvariantViolation
 from .rationals import QQ, ZERO, numden
 from .series import LaurentSeries, TruncatedSeries, power_ladder, series_over
 
@@ -194,9 +194,9 @@ def hauptmodul_from_halphen(sol: HalphenSolution) -> LaurentSeries:
     num = sol.t3 - sol.t2
     den = sol.t3 - sol.t1
     if den.constant_term != 0:
-        raise DegenerateDenominator("t3 - t1 must vanish at q = 0")
+        raise InvariantViolation("t3 - t1 must vanish at q = 0")
     if den.truncation < 1 or den.nums[1] == 0:
-        raise DegenerateDenominator("t3 - t1 has zero linear coefficient")
+        raise InvariantViolation("t3 - t1 has zero linear coefficient")
     return LaurentSeries(num) / LaurentSeries(den)
 
 

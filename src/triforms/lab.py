@@ -247,7 +247,7 @@ def generators_via_j(kind: int, ks: range, j: LaurentSeries
     the suite).
 
     j is the Halphen J = B/q, whose simple pole hauptmodul_from_halphen
-    guarantees (DegenerateDenominator otherwise), so J - 1 = (B - q)/q
+    guarantees (InvariantViolation otherwise), so J - 1 = (B - q)/q
     and Jdot = (B - theta(B))/q come from the power series B.  The ratio
     and the factor are formed once, and the powers come from the power
     ladder the t-products use."""

@@ -44,13 +44,14 @@ def int_valuation(n: int, p: int) -> int:
 
 
 def primes(lo: int, hi: int) -> list:
-    """The primes p with lo <= p <= hi: the multiples of each d <= sqrt(hi),
-    from the larger of d^2 and the first one >= lo, struck from [lo, hi]."""
+    """The primes p with lo <= p <= hi: the multiples of each prime
+    d <= sqrt(hi), from the larger of d^2 and the first one >= lo, struck
+    from [lo, hi]."""
     lo = max(lo, 2)
     if hi < lo:
         return []
     alive = bytearray([1]) * (hi - lo + 1)
-    for d in range(2, isqrt(hi) + 1):
+    for d in primes(2, isqrt(hi)):
         first = max(d * d, -(-lo // d) * d)
         alive[first - lo::d] = bytes((hi - first) // d + 1)
     return [lo + i for i, flag in enumerate(alive) if flag]

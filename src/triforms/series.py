@@ -28,12 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
-from .errors import (
-    ConstantTermNotOne,
-    NonzeroConstantTerm,
-    NotInvertible,
-    ZeroConstantTerm,
-)
+from .errors import SeriesDomainError
 from .rationals import (
     ONE, QQ, ZERO, int_valuation, is_rational, numden, rational_to_str)
 
@@ -255,7 +250,7 @@ def divide(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     quot + g (num - den quot) through q^n, as the residual is O(q^(h+1)).
     """
     if den.nums[0] == 0:
-        raise ZeroConstantTerm("denominator has zero constant term")
+        raise SeriesDomainError("denominator has zero constant term")
     n = min(num.truncation, den.truncation)
     g = series_over([den.den], den.nums[0], 0)
     while g.truncation < n // 2:
@@ -277,7 +272,7 @@ def exp_series(u: TruncatedSeries) -> TruncatedSeries:
     step then brings h to the new order, in place of a division.
     """
     if u.nums[0] != 0:
-        raise NonzeroConstantTerm("exp needs constant term 0")
+        raise SeriesDomainError("exp needs constant term 0")
     n = u.truncation
     du = theta_derivative(u)
     e = h = TruncatedSeries.one(0)
@@ -294,7 +289,7 @@ def exp_series(u: TruncatedSeries) -> TruncatedSeries:
 def log_series(s: TruncatedSeries) -> TruncatedSeries:
     """Inverse of exp_series: theta^-1(theta(s) / s) for s(0) = 1."""
     if s.constant_term != 1:
-        raise ConstantTermNotOne("log needs constant term 1")
+        raise SeriesDomainError("log needs constant term 1")
     return _theta_inverse(divide(theta_derivative(s), s))
 
 
@@ -313,7 +308,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     the denominators of f and of r_(k+1) h.
     """
     if g.nums[0] != 0:
-        raise NonzeroConstantTerm("composition needs inner constant term 0")
+        raise SeriesDomainError("composition needs inner constant term 0")
     n = min(f.truncation, g.truncation)
     h = series_over(g.nums[1:], g.den, max(n - 1, 0))
     result = series_over([f.nums[n]], f.den, 0)
@@ -337,7 +332,7 @@ def reversion(s: TruncatedSeries) -> TruncatedSeries:
     is the derivative of the polynomial g, exact when padded with zeros.
     """
     if s.nums[0] != 0 or s.truncation < 1 or s.nums[1] == 0:
-        raise NotInvertible("need s(0) = 0 and nonzero linear coefficient")
+        raise SeriesDomainError("need s(0) = 0 and nonzero linear coefficient")
     n = s.truncation
     g = series_over([0, s.den], s.nums[1], 1)
     order = 1  # g is correct through q^order

@@ -14,7 +14,7 @@ and the trial division that the prime sieve replaced."""
 from math import isqrt
 
 from triforms.dwork import dwork_images, require_coprime
-from triforms.errors import NonzeroConstantTerm, ZeroConstantTerm
+from triforms.errors import SeriesDomainError
 from triforms.halphen import HalphenSolution, HGParams, TriangleType
 from triforms.hypergeom import mirror_map, schwarz_map, series_f
 from triforms.lab import Congruence
@@ -112,7 +112,7 @@ def divide_by_recurrence(num: TruncatedSeries,
                          den: TruncatedSeries) -> TruncatedSeries:
     """Power series division; den must have nonzero constant term."""
     if den.constant_term == 0:
-        raise ZeroConstantTerm("denominator has zero constant term")
+        raise SeriesDomainError("denominator has zero constant term")
     n = min(num.truncation, den.truncation)
     inv0 = ONE / den.constant_term
     a, b = num.coeffs, den.coeffs
@@ -133,7 +133,7 @@ def exp_by_recurrence(u: TruncatedSeries) -> TruncatedSeries:
     exact despite the n! denominators of the naive Taylor formula.
     """
     if u.constant_term != 0:
-        raise NonzeroConstantTerm("exp needs constant term 0")
+        raise SeriesDomainError("exp needs constant term 0")
     n = u.truncation
     c = u.coeffs
     out = [ONE]

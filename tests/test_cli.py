@@ -142,7 +142,7 @@ class TestExpand:
                              "--series", "zmap", "--N", "0")
         assert code == 2
         assert out == ""
-        assert "nonzero linear coefficient" in err
+        assert err == "error: need s(0) = 0 and nonzero linear coefficient\n"
 
     @pytest.mark.parametrize("series", ["J", "t1", "qmap"])
     def test_negative_order_is_usage_error(self, capsys, series):
@@ -285,7 +285,7 @@ class TestVerify:
                              "--type", "2,5", "--primes", "5..11", "--N", "20")
         assert code == 2
         assert out == ""
-        assert "p = 5 shares a factor with 20" in err
+        assert err == "error: p = 5 shares a factor with 20\n"
         assert count == []
 
     def test_unpredicted_generator_failure_fails_the_cell(self, capsys,

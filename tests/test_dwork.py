@@ -17,11 +17,7 @@ from triforms.dwork import (
     takeuchi_scan,
     theorem_classifier,
 )
-from triforms.errors import (
-    InvariantViolation,
-    PrimeDividesDenominator,
-    SharedFactor,
-)
+from triforms.errors import InvariantViolation, SharedFactor
 from triforms.halphen import HGParams, TriangleType
 from triforms.rationals import QQ, primes
 
@@ -44,7 +40,8 @@ class TestDworkMap:
         assert dwork_map(QQ(7, 20), 13).denominator == 20
 
     def test_rejects_shared_denominator(self):
-        with pytest.raises(PrimeDividesDenominator):
+        with pytest.raises(SharedFactor,
+                           match="^p = 5 divides denominator 10$"):
             dwork_map(QQ(1, 10), 5)
 
     @pytest.mark.parametrize("x", [QQ(-1, 3), QQ(5, 3)], ids=str)

@@ -13,6 +13,7 @@ from oracles import primes_by_trial_division
     (2, 2), (13, 13), (4, 4), (91, 91),         # lo = hi
     (21, 3000),
     (10 ** 9, 10 ** 9 + 100),
+    (10 ** 11, 10 ** 11 + 100),
 ])
 def test_sieve_matches_trial_division(lo, hi):
     assert primes(lo, hi) == primes_by_trial_division(lo, hi)

@@ -61,8 +61,9 @@ def test_one_module_decides_the_scalar_type():
 
 def test_every_top_level_name_is_used():
     # a top-level function or class that no other package code names
-    # (by Name, Attribute or import, __init__.py re-exports included) is
-    # dead surface; oracles that only tests call live in tests/oracles.py
+    # (by Name, Attribute or import) is dead surface; oracles that only
+    # tests call live in tests/oracles.py.  The one exemption is the
+    # paper's Hecke corollary, an export that no package code calls
     defined, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(), str(path)).body:
@@ -73,7 +74,23 @@ def test_every_top_level_name_is_used():
             used.update(name for name in _names(stmt) if name != own)
     assert defined
     assert sorted(f"{path}:{name}" for name, path in defined.items()
-                  if name not in used) == []
+                  if name not in used) == ["dwork.py:hecke_classifier"]
+
+
+def test_every_error_class_is_raised():
+    # an error class that no package code raises by name is dead
+    # surface; TriformsError is the base the CLI catches
+    path = SRC / "errors.py"
+    classes = {stmt.name for stmt in ast.parse(path.read_text()).body
+               if isinstance(stmt, ast.ClassDef)}
+    raised = {node.exc.func.id
+              for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Raise)
+              and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name)}
+    assert "TriformsError" in classes
+    assert sorted(classes - raised) == ["TriformsError"]
 
 
 def test_every_method_is_used():
@@ -120,15 +137,30 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
-def test_cli_import_leaves_out_the_introspection_modules():
-    # every CLI call is a fresh interpreter, so what `import triforms.cli`
-    # pulls in is paid on each one; dataclasses alone drags in inspect,
-    # ast, dis and tokenize.  The pytest process has them all loaded, so
-    # the import runs in a child.
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
-    probe = ("import sys, triforms.cli; "
-             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
+def _loaded_after(statement, condition):
+    """The sorted names m in sys.modules for which condition, an
+    expression in m, holds after statement runs in a fresh interpreter;
+    the pytest process has every module loaded already."""
+    probe = (f"import sys; {statement}; "
+             f"print(sorted(m for m in sys.modules if {condition}))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_out_the_introspection_modules():
+    # every CLI call is a fresh interpreter, so what `import triforms.cli`
+    # pulls in is paid on each one; dataclasses alone drags in inspect,
+    # ast, dis and tokenize
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    assert _loaded_after("import triforms.cli", f"m in {heavy!r}") == "[]"
+
+
+def test_series_import_loads_only_its_dependencies():
+    # the package root re-exports nothing, so importing one module loads
+    # that module and what it imports, not the whole package
+    loaded = _loaded_after("import triforms.series",
+                           "m.split('.')[0] == 'triforms'")
+    assert loaded == str(["triforms", "triforms.errors",
+                          "triforms.rationals", "triforms.series"])
