@@ -17,7 +17,6 @@ import sys
 from math import gcd
 
 from .dwork import (
-    Verdict,
     dwork_set_condition,
     lemma_two_check,
     require_coprime,
@@ -149,10 +148,7 @@ def cmd_classify(args) -> int:
     for p in candidates:
         if gcd(p, tri.conductor) > 1:
             continue
-        verdict = theorem_classifier(tri, p)
-        entry = verdict.to_json()
-        entry["belowTheoremRange"] = (
-            verdict.verdict is Verdict.BELOW_THEOREM_RANGE)
+        entry = theorem_classifier(tri, p).to_json()
         if q is not None:
             profile = empirical_integrality(tri, p, q)
             entry.update(N=args.N, firstNegativeIndex=profile.first_failure,

@@ -7,7 +7,6 @@ scan that reproduces the arithmetic (Takeuchi) list.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from math import gcd
 
 from .errors import InvariantViolation, SharedFactor
@@ -64,17 +63,6 @@ def dwork_set_condition(tri: TriangleType, p: int) -> bool:
     return got == {params.a, params.b} or got == {1 - params.a, 1 - params.b}
 
 
-class Verdict(Enum):
-    INTEGRAL = "integral"
-    NON_INTEGRAL = "nonIntegral"
-    BELOW_THEOREM_RANGE = "belowTheoremRange"
-
-
-class Branch(Enum):
-    PLAIN = "plain"      # p = epsilon mod 2m1 and p = eps'*eps mod 2m2
-    SHIFTED = "shifted"  # p = m1+epsilon mod 2m1 and p = m2+eps'*eps mod 2m2
-
-
 WitnessCase = namedtuple("WitnessCase", "epsilon epsilon_prime branch")
 
 
@@ -87,38 +75,36 @@ class IntegralityVerdict(namedtuple("IntegralityVerdict",
     __slots__ = ()
 
     @property
-    def verdict(self) -> Verdict:
+    def verdict(self) -> str:
+        """One of "integral", "nonIntegral" and "belowTheoremRange"."""
         if self.prime <= self.triangle.conductor:
-            return Verdict.BELOW_THEOREM_RANGE
-        return (Verdict.NON_INTEGRAL if self.witness is None
-                else Verdict.INTEGRAL)
+            return "belowTheoremRange"
+        return "nonIntegral" if self.witness is None else "integral"
 
     def to_json(self) -> dict:
+        """The theorem's part of a classify row."""
         verdict = self.verdict
-        data = {
-            "type": str(self.triangle),
-            "p": self.prime,
-            "verdict": verdict.value,
-        }
-        if verdict is Verdict.BELOW_THEOREM_RANGE:
+        below = verdict == "belowTheoremRange"
+        data = {"type": str(self.triangle), "p": self.prime,
+                "verdict": verdict, "belowTheoremRange": below}
+        if below:
             data["conjectural_integral"] = self.witness is not None
         elif self.witness is not None:
-            data["witness"] = {
-                "epsilon": self.witness.epsilon,
-                "epsilon_prime": self.witness.epsilon_prime,
-                "branch": self.witness.branch.value,
-            }
+            data["witness"] = self.witness._asdict()
         return data
 
 
 def _congruence_witness(tri: TriangleType, r: int) -> WitnessCase | None:
     """Search the four (epsilon, epsilon') sign pairs and both branches
-    for a residue r; the branch must be shared between the two moduli."""
+    for a residue r; the branch must be shared between the two moduli:
+    "plain" is r = epsilon mod 2m1 and r = epsilon' epsilon mod 2m2,
+    "shifted" is r = m1 + epsilon mod 2m1 and r = m2 + epsilon' epsilon
+    mod 2m2."""
     m1 = tri.m1
     if not tri.m2_finite:
         for eps in (1, -1):
             if r % (2 * m1) == eps % (2 * m1):
-                return WitnessCase(eps, 1, Branch.PLAIN)
+                return WitnessCase(eps, 1, "plain")
         return None
     m2 = tri.m2
     for eps in (1, -1):
@@ -126,10 +112,10 @@ def _congruence_witness(tri: TriangleType, r: int) -> WitnessCase | None:
             ee = eps_prime * eps
             if (r % (2 * m1) == eps % (2 * m1)
                     and r % (2 * m2) == ee % (2 * m2)):
-                return WitnessCase(eps, eps_prime, Branch.PLAIN)
+                return WitnessCase(eps, eps_prime, "plain")
             if (r % (2 * m1) == (m1 + eps) % (2 * m1)
                     and r % (2 * m2) == (m2 + ee) % (2 * m2)):
-                return WitnessCase(eps, eps_prime, Branch.SHIFTED)
+                return WitnessCase(eps, eps_prime, "shifted")
     return None
 
 

@@ -24,10 +24,30 @@ def frobenius_basis(params: HGParams, n_order: int
                     ) -> tuple[TruncatedSeries, TruncatedSeries]:
     """(F, G) for (a, b) = params to order n_order, on integers: F(a,b|z)
     = sum A_n z^n, A_n = (a)_n (b)_n / n!^2, and G(a,b|z) = sum A_n H_n z^n,
-    H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i)).  With a = A/M, b = B/M,
-    x = A + nM, y = B + nM and c = M(n+1), A_(n+1) = A_n x y c / c^3 and
-    B_(n+1) = (B_n x y c + A_n M (x c + y c - 2 x y)) / c^3, numerators over
-    one denominator L_n; each step divides both and c^3 by their gcd."""
+    H_n = sum_{i<n} (1/(a+i) + 1/(b+i) - 2/(1+i))."""
+    fs, gs, steps = _frobenius_numerators(params, n_order)
+    return (_over_last_denominator(fs, steps, n_order),
+            _over_last_denominator(gs, steps, n_order))
+
+
+def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
+    """F(a,b|z) to order n_order: the first half of frobenius_basis."""
+    fs, _, steps = _frobenius_numerators(params, n_order)
+    return _over_last_denominator(fs, steps, n_order)
+
+
+def series_g(params: HGParams, n_order: int) -> TruncatedSeries:
+    """G(a,b|z) to order n_order: the second half of frobenius_basis."""
+    _, gs, steps = _frobenius_numerators(params, n_order)
+    return _over_last_denominator(gs, steps, n_order)
+
+
+def _frobenius_numerators(params: HGParams, n_order: int):
+    """The numerators of A_n and B_n = A_n H_n (frobenius_basis) over one
+    denominator L_n, n = 0..n_order, and the steps L_(n+1) / L_n.  With
+    a = A/M, b = B/M, x = A + nM, y = B + nM and c = M(n+1), A_(n+1) =
+    A_n x y c / c^3 and B_(n+1) = (B_n x y c + A_n M (x c + y c - 2 x y))
+    / c^3; each step divides both numerators and c^3 by their gcd."""
     A, B, M = params.over_common_denominator()
     fs, gs, steps = [1], [0], [1]
     for i in range(n_order):
@@ -40,18 +60,7 @@ def frobenius_basis(params: HGParams, n_order: int
         fs.append(f_next // d)
         gs.append(g_next // d)
         steps.append(step // d)
-    return (_over_last_denominator(fs, steps, n_order),
-            _over_last_denominator(gs, steps, n_order))
-
-
-def series_f(params: HGParams, n_order: int) -> TruncatedSeries:
-    """F(a,b|z) to order n_order: the first half of frobenius_basis."""
-    return frobenius_basis(params, n_order)[0]
-
-
-def series_g(params: HGParams, n_order: int) -> TruncatedSeries:
-    """G(a,b|z) to order n_order: the second half of frobenius_basis."""
-    return frobenius_basis(params, n_order)[1]
+    return fs, gs, steps
 
 
 def _over_last_denominator(nums, steps, n_order: int) -> TruncatedSeries:

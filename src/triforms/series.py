@@ -392,11 +392,15 @@ class LaurentSeries:
 
     def agrees_with(self, other: "LaurentSeries") -> int | None:
         """First exponent (up to the common truncation) where the two
-        disagree, or None."""
-        top = min(self.truncation, other.truncation)
-        lo = min(self.lowest_exponent, other.lowest_exponent)
-        return next((e for e in range(lo, top + 1)
-                     if self.coefficient(e) != other.coefficient(e)), None)
+        disagree, or None, decided on the integers: bodies are units, so
+        different lowest exponents differ at the lower one, and x_i / d_x
+        equals y_i / d_y iff x_i d_y equals y_i d_x."""
+        low = self.lowest_exponent
+        if low != other.lowest_exponent:
+            return min(low, other.lowest_exponent)
+        x, y = self.body, other.body
+        return next((low + i for i, (xi, yi) in enumerate(zip(x.nums, y.nums))
+                     if xi * y.den != yi * x.den), None)
 
     def __repr__(self):
         head = ", ".join(
@@ -425,11 +429,8 @@ class LaurentSeries:
                              self.lowest_exponent - other.lowest_exponent)
 
     def to_json(self) -> dict:
-        return {
-            "lowest_exponent": self.lowest_exponent,
-            "coeffs": [rational_to_str(c) for c in self.coeffs],
-            "truncation": self.truncation,
-        }
+        return {**self.body.to_json(), "lowest_exponent": self.lowest_exponent,
+                "truncation": self.truncation}
 
 
 def power_ladder(factor, ratio, exponents):

@@ -9,7 +9,9 @@ the residue congruence checks replaced, the substitution z -> z^p
 with the exact mod-p reading that the Dwork form on residues
 replaced, the scaling q -> kappa*q that J = 1/z(kappa*q) took
 after the reversion before it became the reversion of q(a,b|z)/kappa,
-and the trial division that the prime sieve replaced."""
+the trial division that the prime sieve replaced, and the
+exponent-by-exponent rational comparison that the agreement test on
+integers replaced."""
 
 from math import isqrt
 
@@ -20,6 +22,7 @@ from triforms.hypergeom import mirror_map, schwarz_map, series_f
 from triforms.lab import Congruence
 from triforms.rationals import ONE, QQ, ZERO, int_valuation, numden
 from triforms.series import (
+    LaurentSeries,
     TruncatedSeries,
     series_over,
     theta_derivative,
@@ -271,3 +274,12 @@ def primes_by_trial_division(lo: int, hi: int) -> list:
     """The primes p with lo <= p <= hi, each n tested by trial division."""
     return [n for n in range(max(lo, 2), hi + 1)
             if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def agreement_by_fractions(x: LaurentSeries, y: LaurentSeries):
+    """First exponent through the common truncation where x and y
+    differ, or None, on reduced rationals one exponent at a time."""
+    top = min(x.truncation, y.truncation)
+    lo = min(x.lowest_exponent, y.lowest_exponent)
+    return next((e for e in range(lo, top + 1)
+                 if x.coefficient(e) != y.coefficient(e)), None)

@@ -213,7 +213,7 @@ class TestClassify:
             p = int(row[1])
             v = profiles[p] = empirical_integrality(tri, p, q)
             expected = [str(tri), p, 60,
-                        theorem_classifier(tri, p).verdict.value,
+                        theorem_classifier(tri, p).verdict,
                         v.first_failure, v.min_valuation]
             assert row == ["" if x is None else str(x) for x in expected]
         assert {v.holds() for v in profiles.values()} == {True, False}

@@ -6,9 +6,7 @@ import hypothesis.strategies as st
 
 from triforms import dwork
 from triforms.dwork import (
-    Branch,
     IntegralityVerdict,
-    Verdict,
     almost_integral,
     dwork_map,
     dwork_set_condition,
@@ -117,37 +115,37 @@ class TestTheoremClassifier:
     def test_2_5_reference_primes(self):
         tri = TriangleType(2, 5)
         # below the theorem range (p < 20) the outcome is conjectural
-        assert theorem_classifier(tri, 11).verdict is Verdict.BELOW_THEOREM_RANGE
+        assert theorem_classifier(tri, 11).verdict == "belowTheoremRange"
         assert theorem_classifier(tri, 11).witness is not None
         assert theorem_classifier(tri, 19).witness is not None
         assert theorem_classifier(tri, 13).witness is None
         # above the range: hard verdicts
-        assert theorem_classifier(tri, 29).verdict is Verdict.INTEGRAL
-        assert theorem_classifier(tri, 23).verdict is Verdict.NON_INTEGRAL
+        assert theorem_classifier(tri, 29).verdict == "integral"
+        assert theorem_classifier(tri, 23).verdict == "nonIntegral"
 
     def test_2_3_at_5_witness(self):
         verdict = theorem_classifier(TriangleType(2, 3), 13)
-        assert verdict.verdict is Verdict.INTEGRAL
+        assert verdict.verdict == "integral"
         assert verdict.witness is not None
 
     def test_witness_present_iff_integral(self):
         tri = TriangleType(3, 4)
         for p in (29, 31, 37, 41, 43):
             v = theorem_classifier(tri, p)
-            assert (v.witness is not None) == (v.verdict is Verdict.INTEGRAL)
+            assert (v.witness is not None) == (v.verdict == "integral")
 
     def test_witness_sign_pair_example(self):
         # 29 = 1 mod 4 and 29 = -1 mod 6: epsilon = 1, eps'*eps = -1,
         # plain branch (same residue class as the below-range p = 5)
         v = theorem_classifier(TriangleType(2, 3), 29)
-        assert v.verdict is Verdict.INTEGRAL
+        assert v.verdict == "integral"
         w = v.witness
-        assert (w.epsilon, w.epsilon_prime, w.branch) == (1, -1, Branch.PLAIN)
+        assert (w.epsilon, w.epsilon_prime, w.branch) == (1, -1, "plain")
 
     def test_cusp_double(self):
         tri = TriangleType(4, None)
-        assert theorem_classifier(tri, 17).verdict is Verdict.INTEGRAL  # 17 = 1 mod 8
-        assert theorem_classifier(tri, 11).verdict is Verdict.NON_INTEGRAL  # 3 mod 8
+        assert theorem_classifier(tri, 17).verdict == "integral"  # 17 = 1 mod 8
+        assert theorem_classifier(tri, 11).verdict == "nonIntegral"  # 3 mod 8
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
@@ -158,7 +156,8 @@ class TestTheoremClassifier:
         # the derived verdict and the JSON keys against the theorem read
         # off the residues directly: p = +-1 mod 2m1 and mod 2m2, or
         # p = m1 +- 1 mod 2m1 and m2 +- 1 mod 2m2 (p = +-1 mod 2m1 for
-        # m2 = inf); below the range only the flag is written
+        # m2 = inf); below the range only the flag is written, and the
+        # belowTheoremRange boolean says which side of the range p is
         def near(p, m, centre):
             return (p - centre) % (2 * m) in (1, 2 * m - 1)
 
@@ -170,19 +169,22 @@ class TestTheoremClassifier:
                         or tri.m2_finite and all(near(p, m, m) for m in orders))
             v = theorem_classifier(tri, p)
             if p <= tri.conductor:
-                expected, extra = Verdict.BELOW_THEOREM_RANGE, {
+                expected, extra = "belowTheoremRange", {
                     "conjectural_integral"}
                 assert v.to_json()["conjectural_integral"] == integral, p
             elif integral:
-                expected, extra = Verdict.INTEGRAL, {"witness"}
+                expected, extra = "integral", {"witness"}
             else:
-                expected, extra = Verdict.NON_INTEGRAL, set()
-            assert v.verdict is expected, p
-            assert set(v.to_json()) == {"type", "p", "verdict"} | extra, p
+                expected, extra = "nonIntegral", set()
+            assert v.verdict == expected, p
+            data = v.to_json()
+            assert set(data) == {
+                "type", "p", "verdict", "belowTheoremRange"} | extra, p
+            assert data["belowTheoremRange"] == (p <= tri.conductor), p
             assert (v.witness is not None) == integral, p
             if integral:
                 w = v.witness
-                shift = w.branch is Branch.SHIFTED
+                shift = w.branch == "shifted"
                 assert (p - shift * tri.m1 - w.epsilon) % (2 * tri.m1) == 0
                 if tri.m2_finite:
                     assert (p - shift * tri.m2

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -591,6 +592,31 @@ class TestGeneratorIntegrality:
             lhs = LaurentSeries(e4 ** 3) / LaurentSeries(e4 ** 3 - e6 ** 2)
             assert lhs.agrees_with(j) is None
             assert min(lhs.truncation, j.truncation) >= 30
+
+
+def _fractions_built(monkeypatch, call, *args):
+    """How many Fractions call(*args) builds."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *a, **kw):
+        built.append(cls)
+        return new(cls, *a, **kw)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__new__", counting)
+        call(*args)
+    return len(built)
+
+
+@pytest.mark.parametrize("check", [cross_route_consistency,
+                                   checked_generators])
+def test_agreement_is_decided_on_integers(monkeypatch, check):
+    # the cross-checks compare the two routes' numerators and
+    # denominators, so the rationals they build do not grow with the
+    # order they certify
+    assert (_fractions_built(monkeypatch, check, TRI25, 20)
+            == _fractions_built(monkeypatch, check, TRI25, 40))
 
 
 class TestIntegralityTransportJustification:

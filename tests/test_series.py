@@ -33,8 +33,8 @@ from conftest import (
     zero_constant_series,
 )
 from oracles import (
-    divide_by_recurrence, exp_by_recurrence, rational_valuation,
-    scale_argument, substitute_power)
+    agreement_by_fractions, divide_by_recurrence, exp_by_recurrence,
+    rational_valuation, scale_argument, substitute_power)
 
 
 def ts(*coeffs, N=None):
@@ -686,6 +686,27 @@ laurent_series = st.builds(
     st.integers(min_value=0, max_value=2))
 
 
+@st.composite
+def laurent_pairs(draw):
+    """Two Laurent series from one run of terms, a nonzero one and then
+    mixed ones: each starts the run at its own lowest exponent (often
+    the same) and stops at its own truncation, padding with zeros past
+    the run, and the second may change one term below both truncations
+    (the first to a nonzero one)."""
+    nonzero = small_rationals.filter(bool)
+    terms = [draw(nonzero), *draw(st.lists(mixed_coefficients, max_size=8))]
+    tops = [draw(st.integers(0, len(terms) + 1)) for _ in range(2)]
+    other = list(terms)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(len(terms) - 1, *tops)))
+        other[k] = draw(mixed_coefficients if k else nonzero)
+    lows = st.integers(min_value=-2, max_value=2)
+    low = draw(lows)
+    return [LaurentSeries(TruncatedSeries(cs, top),
+                          draw(st.one_of(st.just(low), lows)))
+            for cs, top in zip((terms, other), tops)]
+
+
 class TestLaurentDifferential:
     """Every LaurentSeries operation against NaiveLaurent: lowest
     exponent, coefficients and truncation."""
@@ -700,6 +721,19 @@ class TestLaurentDifferential:
         assert _shape(x * y) == (nx * ny).shape()
         assert x.agrees_with(y) == nx.agrees_with(ny)
         assert x.agrees_with(x) is None
+
+    @given(laurent_pairs())
+    @example([laurent_window(0, [QQ(1), QQ(1, 2)], 1),
+              laurent_window(0, [QQ(1)], 0)])
+    @example([laurent_window(-1, [QQ(2), QQ(0), QQ(1, 3)], 3),
+              laurent_window(-1, [QQ(2), QQ(0), QQ(2, 3)], 1)])
+    @example([pole2, laurent_window(-1, [QQ(2), QQ(-1)], 4)])
+    def test_agreement_matches_rationals(self, pair):
+        # the first difference, decided on integers, is the first
+        # exponent where the reduced rationals differ, either way round
+        x, y = pair
+        assert x.agrees_with(y) == agreement_by_fractions(x, y)
+        assert y.agrees_with(x) == agreement_by_fractions(y, x)
 
     @given(laurent_series, laurent_series)
     @example(pole2, pole2)

@@ -3,14 +3,14 @@ keyword, compared and hashed by their fields, shown as Name(field=...)."""
 
 import pytest
 
-from triforms.dwork import Branch, IntegralityVerdict, WitnessCase
+from triforms.dwork import IntegralityVerdict, WitnessCase
 from triforms.halphen import HalphenSolution, HGParams, TriangleType, solve_halphen
 from triforms.lab import Congruence
 from triforms.rationals import QQ
 from triforms.series import ValuationProfile
 
 TRI = TriangleType(2, 5)
-WITNESS = WitnessCase(1, -1, Branch.SHIFTED)
+WITNESS = WitnessCase(1, -1, "shifted")
 
 # (type, fields in order, repr); HalphenSolution takes ints in place of
 # its series here, since series are unhashable
@@ -21,12 +21,12 @@ CASES = [
      f"HGParams(a={QQ(7, 20)!r}, b={QQ(3, 20)!r})"),
     (HalphenSolution, {"t1": 1, "t2": 2, "t3": 3},
      "HalphenSolution(t1=1, t2=2, t3=3)"),
-    (WitnessCase, {"epsilon": 1, "epsilon_prime": -1, "branch": Branch.SHIFTED},
-     "WitnessCase(epsilon=1, epsilon_prime=-1, branch=<Branch.SHIFTED: 'shifted'>)"),
+    (WitnessCase, {"epsilon": 1, "epsilon_prime": -1, "branch": "shifted"},
+     "WitnessCase(epsilon=1, epsilon_prime=-1, branch='shifted')"),
     (IntegralityVerdict, {"triangle": TRI, "prime": 11, "witness": WITNESS},
      "IntegralityVerdict(triangle=TriangleType(m1=2, m2=5), prime=11, "
      "witness=WitnessCase(epsilon=1, epsilon_prime=-1, "
-     "branch=<Branch.SHIFTED: 'shifted'>))"),
+     "branch='shifted'))"),
     (ValuationProfile, {"prime": 7, "entries": (0, None, 2),
                         "start_index": -1},
      "ValuationProfile(prime=7, entries=(0, None, 2), start_index=-1)"),
