@@ -10,7 +10,6 @@ usage errors or any verification failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -63,6 +62,8 @@ SUITE_OPTIONS = {
     "remark": ("long",),
 }
 VERIFY_ORDER = 60
+DEFAULT_TYPES = (TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),
+                 TriangleType(3, 3), TriangleType(2, None))
 
 
 def parse_primes(spec: str):
@@ -88,13 +89,10 @@ def emit(payload, fmt: str = "json"):
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         import csv  # only CSV output needs it; each CLI call starts afresh
-
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in payload["results"]:
             writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
-        sys.stdout.write(out.getvalue())
 
 
 def _series_catalog(tri: TriangleType, name: str, n_order: int):
@@ -167,7 +165,7 @@ def _verify_cells(args):
     every prime."""
     suite = args.suite
     n_order = args.N
-    types = [TriangleType.parse(args.type)] if args.type else _default_types()
+    types = [TriangleType.parse(args.type)] if args.type else DEFAULT_TYPES
     primes = parse_primes(args.primes) if args.primes else []
 
     if suite == "cross-route":
@@ -238,11 +236,6 @@ def _verify_cells(args):
 
 def _evidence(check) -> str:
     return "integralEvidence" if check.holds() else "nonIntegralEvidence"
-
-
-def _default_types():
-    return [TriangleType(2, 3), TriangleType(2, 5), TriangleType(3, 4),
-            TriangleType(3, 3), TriangleType(2, None)]
 
 
 def _primes_for(tri: TriangleType, primes):
@@ -338,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # every printed int is ours
+        sys.set_int_max_str_digits(0)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown

@@ -38,8 +38,6 @@ from .errors import InvariantViolation
 from .rationals import QQ, ZERO, numden
 from .series import LaurentSeries, TruncatedSeries, power_ladder, series_over
 
-INFINITY = None  # m2 = infinity marker
-
 
 class TriangleType(namedtuple("TriangleType", "m1 m2")):
     """Type (m1, m2, inf): m1 finite >= 2, m2 >= m1 or infinite (None)."""
@@ -49,7 +47,7 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
     def __new__(cls, m1, m2):
         if not isinstance(m1, int) or m1 < 2:
             raise ValueError("m1 must be an integer >= 2")
-        if m2 is not INFINITY:
+        if m2 is not None:
             if not isinstance(m2, int) or m2 < m1:
                 raise ValueError("m2 must be an integer >= m1, or None for infinity")
             if m1 * m2 <= m1 + m2:  # 1/m1 + 1/m2 >= 1
@@ -60,7 +58,7 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
 
     @property
     def m2_finite(self) -> bool:
-        return self.m2 is not INFINITY
+        return self.m2 is not None
 
     @property
     def conductor(self) -> int:
@@ -84,7 +82,7 @@ class TriangleType(namedtuple("TriangleType", "m1 m2")):
         try:
             m1, m2 = text.split(",")
             m1 = int(m1)
-            m2 = INFINITY if m2.strip().lower() == "inf" else int(m2)
+            m2 = None if m2.strip().lower() == "inf" else int(m2)
         except ValueError:
             raise ValueError(f"expected 'm1,m2' of integers, m2 may be "
                              f"'inf', got {text!r}") from None

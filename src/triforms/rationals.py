@@ -22,10 +22,6 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def is_rational(x) -> bool:
-    return isinstance(x, (Fraction, int))
-
-
 def numden(x):
     """(numerator, denominator) of an int or a reduced Fraction."""
     return x.numerator, x.denominator
@@ -58,6 +54,7 @@ def primes(lo: int, hi: int) -> list:
 
 
 def rational_to_str(x) -> str:
-    """Serialize as 'num/den', e.g. '-5/12'; integers keep '/1'."""
+    """Serialize as 'num/den', e.g. '-5/12'; integers keep '/1'.  Library
+    callers keep the interpreter's str(int) digit limit; the CLI lifts it."""
     num, den = numden(x)
     return f"{num}/{den}"

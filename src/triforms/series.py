@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import SeriesDomainError
 from .rationals import (
-    ONE, QQ, ZERO, int_valuation, is_rational, numden, rational_to_str)
+    ONE, QQ, ZERO, int_valuation, numden, rational_to_str)
 
 
 class TruncatedSeries:
@@ -92,11 +92,8 @@ class TruncatedSeries:
     def __sub__(self, other):
         return _sum(self, other, -1)
 
-    def __neg__(self):
-        return series_over([-x for x in self.nums], self.den, self.truncation)
-
     def __mul__(self, other):
-        if is_rational(other):
+        if isinstance(other, (int, QQ)):
             num, den = numden(other)
             return series_over([num * x for x in self.nums], self.den * den,
                                self.truncation)
@@ -173,7 +170,7 @@ def _over_lcm(pairs):
 
 def _sum(a: TruncatedSeries, b, sign: int):
     """a + sign b, for a series or a rational (constant series) b."""
-    if is_rational(b):
+    if isinstance(b, (int, QQ)):
         b = TruncatedSeries([b], a.truncation)
     if not isinstance(b, TruncatedSeries):
         return NotImplemented

@@ -13,9 +13,9 @@ import pytest
 from triforms.cli import CSV_COLUMNS, main, parse_primes
 from triforms.dwork import theorem_classifier
 from triforms.halphen import HGParams, TriangleType
-from triforms.hypergeom import mirror_map
+from triforms.hypergeom import mirror_map, series_f
 from triforms.lab import empirical_integrality
-from triforms.rationals import primes
+from triforms.rationals import QQ, primes
 from triforms.series import ValuationProfile
 
 PROFILE_KEYS = {"N", "firstNegativeIndex", "minValuation"}
@@ -158,6 +158,22 @@ class TestExpand:
         _, out2, _ = run(capsys, "expand", "--type", "3,4",
                          "--series", "D", "--N", "10")
         assert out1 == out2
+
+    def test_coefficients_past_the_digit_limit(self, capsys):
+        # str(int) refuses more than 4300 digits unless the limit is
+        # lifted; main lifts it, so the test restores it afterwards
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            code, out, err = run(capsys, "expand", "--type", "7,8",
+                                 "--series", "F", "--N", "900")
+            assert code == 0, err
+            coeffs = json.loads(out)["result"]["coeffs"]
+            assert max(map(len, coeffs)) > 4300
+            assert QQ(coeffs[-1]) == series_f(
+                HGParams.for_type(TriangleType(7, 8)), 900).coeffs[-1]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 class TestClassify:
@@ -317,6 +333,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "classifier",
                          "--type", "2,5", "--primes", "21..60")
         assert code == 0
+
+    def test_suite_without_type_runs_the_default_types(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "classifier",
+                           "--primes", "11..13")
+        assert code == 0
+        cells = json.loads(out)["cells"]
+        assert [c["cell"] for c in cells] == sorted(
+            f"classifier {t} p={p}" for t in
+            ("(2,3)", "(2,5)", "(3,4)", "(3,3)", "(2,inf)") for p in (11, 13))
+        assert all(c["ok"] for c in cells)
 
     @pytest.mark.parametrize("suite", ["schwarz", "lemma2", "dieudonne"])
     def test_range_without_primes_is_usage_error(self, capsys, suite):

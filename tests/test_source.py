@@ -53,8 +53,9 @@ def test_no_package_module_imports_typing():
 
 
 def test_one_module_decides_the_scalar_type():
-    # every other module takes QQ, numden and is_rational from
-    # rationals.py, so the scalar type is Fraction in one place
+    # every other module takes QQ and numden from rationals.py and
+    # tests isinstance(x, (int, QQ)), so the scalar type is Fraction in
+    # one place
     assert _importers("fractions") == ["rationals.py"]
     assert _importers("gmpy2") == []
 
