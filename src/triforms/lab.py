@@ -2,20 +2,18 @@
 expansions, the series-level Dwork congruences, and cross-route
 consistency between the Halphen and hypergeometric pipelines.
 
-Every integrality check returns the ValuationProfile it decided on,
-with its prime, the valuation of each coefficient checked and the
-first index that is not p-integral; every check mod p returns a
-Congruence.  Every check has the shape "one type, many primes": each
-takes the per-type series it tests (the mirror map q(a,b|z), the
-series F and G of the Schwarz map D = G/F, the checked generators),
-which the caller builds once at the largest order it needs, and does
-only the per-prime work.
+Every check returns a PAdicCheck (series.py): its prime, the order
+checked, the first index that falls short (not p-integral, or not 0
+mod p) and the valuation there.  Every check has the shape "one type,
+many primes": each takes the per-type series it tests (the mirror map
+q(a,b|z), the series F and G of the Schwarz map D = G/F, the checked
+generators), which the caller builds once at the largest order it
+needs, and does only the per-prime work.
 
 The twisted Schwarz congruence D' - D = 0 and the Dwork congruence
 D'(z^p) - p D = 0 mod p, for D' = G'/F' the Schwarz map of the Dwork
-image (delta(a), delta(b)), return a Congruence: the verdict, the first
-failing index and its exact valuation, and the order covered.  They
-are decided without forming D' or dividing: cross-multiplied,
+image (delta(a), delta(b)), are decided without forming D' or
+dividing: cross-multiplied,
 D' - D = (G' F - G F') / (F F') and
 D'(z^p) - p D = (G'(z^p) F - p G F'(z^p)) / (F F'(z^p)).  F and F' lie
 in 1 + z Z_p[[z]], so each denominator U is a unit there, and for a
@@ -49,6 +47,22 @@ conductor 2 m1 m2 is even, and require_coprime rejects p = 2.
 empirical_integrality, on the exact q(a,b|z) = z exp(D), stays its
 oracle.
 
+The index rule k = p c follows (after Dwork, "p-adic cycles", Publ.
+Math. IHES 37, 1969, and Delaygue, Rivoal and Roques, Mem. AMS 246,
+2017).  Let k be the first failing index of w (mirror_integrality_check)
+and c that of the twisted Schwarz congruence D - D' mod p
+(schwarz_congruence_check).  Write
+D(z^p) - p D = (D - D')(z^p) + (D'(z^p) - p D).
+The rule's hypothesis is Dwork's congruence, D'(z^p) - p D = 0 mod p
+through z^(p c), which dwork_congruence_check decides: the package
+checks it and does not assume it.  The first term is 0 off the
+multiples of p, and its z^(p j) coefficient is (D - D')_j, of
+valuation >= 1 for j < c.  So w is 0 mod p below z^(p c), and at
+z^(p c) the ultrametric inequality gives it the valuation
+v_p((D - D')_c) < 1 of the first term: k = p c, with equal valuations.
+With Dwork's congruence through z^N, w holds through z^N exactly when
+D - D' = 0 mod p through z^(N // p): k and c are None together.
+
 The test object for integrality is the mirror map q(a,b|z) rather than
 J itself: reversion of a unit-linear-coefficient series, scaling by a
 p-unit kappa, and reciprocal of a unit-constant-term series all
@@ -61,8 +75,6 @@ profile at order N is bounded evidence, never a proof.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from .errors import InvariantViolation, OrderShortfall, RouteMismatch
 from .halphen import (
@@ -79,18 +91,18 @@ from .dwork import dwork_images, require_coprime
 from .rationals import int_valuation
 from .series import (
     LaurentSeries,
+    PAdicCheck,
     TruncatedSeries,
     exp_series,
     power_ladder,
     series_over,
     theta_derivative,
     valuation_profile,
-    ValuationProfile,
 )
 
 
 def empirical_integrality(tri: TriangleType, p: int,
-                          q: TruncatedSeries) -> ValuationProfile:
+                          q: TruncatedSeries) -> PAdicCheck:
     """Valuation profile of the mirror map q = q(a,b|z) of tri's pair,
     from hypergeom.mirror_map, through z^(q.truncation); indices are
     exponents of z."""
@@ -98,20 +110,7 @@ def empirical_integrality(tri: TriangleType, p: int,
     return valuation_profile(q, p)
 
 
-class Congruence(namedtuple("Congruence",
-                             "prime order first_failure valuation")):
-    """A congruence mod p decided through z^order.  first_failure is
-    the first index whose coefficient has p-adic valuation below 1, or
-    None, and valuation is the exact valuation of that coefficient, or
-    None with it: no other valuation is resolved."""
-
-    __slots__ = ()
-
-    def holds(self) -> bool:
-        return self.first_failure is None
-
-
-def congruence_on_residues(p: int, basis, twisted, power: int) -> Congruence:
+def congruence_on_residues(p: int, basis, twisted, power: int) -> PAdicCheck:
     """Decide v_p(G'(z^k) F - k G F'(z^k)) >= 1 through z^N for k = power,
     (F, G) = basis through z^N and (F', G') = twisted, read through
     z^(N // k), on residues mod p^(s+1), where s is the larger valuation
@@ -145,12 +144,12 @@ def congruence_on_residues(p: int, basis, twisted, power: int) -> Congruence:
            - power * (residues(g, s) * residues(f_twist, 0, power)))
     for i, x in enumerate(lhs.nums):
         if x % modulus:
-            return Congruence(p, n, i, int_valuation(x % modulus, p) - s)
-    return Congruence(p, n, None, None)
+            return PAdicCheck(p, n, i, int_valuation(x % modulus, p) - s)
+    return PAdicCheck(p, n, None, None)
 
 
 def _twisted_congruence(tri: TriangleType, p: int, f: TruncatedSeries,
-                        g: TruncatedSeries, power: int) -> Congruence:
+                        g: TruncatedSeries, power: int) -> PAdicCheck:
     """congruence_on_residues for f and g, the F and G of tri's pair,
     against the F and G of its Dwork image (delta(a), delta(b)) through
     z^(N // power): f and g themselves when the image is the pair."""
@@ -163,7 +162,7 @@ def _twisted_congruence(tri: TriangleType, p: int, f: TruncatedSeries,
 
 
 def dwork_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
-                           g: TruncatedSeries) -> Congruence:
+                           g: TruncatedSeries) -> PAdicCheck:
     """D(delta(a), delta(b) | z^p) - p D(a,b|z) mod p for f = F(a,b|z)
     and g = G(a,b|z), decided as G'(z^p) F - p G F'(z^p).  Holds
     unconditionally (no integrality hypothesis)."""
@@ -171,7 +170,7 @@ def dwork_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
 
 
 def schwarz_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
-                             g: TruncatedSeries) -> Congruence:
+                             g: TruncatedSeries) -> PAdicCheck:
     """D(delta(a), delta(b) | z) - D(a,b|z) mod p for f = F(a,b|z) and
     g = G(a,b|z), decided as G' F - G F': it holds exactly when the
     mirror map is p-integral (the biconditional is observed, not
@@ -180,7 +179,7 @@ def schwarz_congruence_check(tri: TriangleType, p: int, f: TruncatedSeries,
 
 
 def mirror_integrality_check(tri: TriangleType, p: int, f: TruncatedSeries,
-                             g: TruncatedSeries) -> Congruence:
+                             g: TruncatedSeries) -> PAdicCheck:
     """Whether the mirror map q(a,b|z) = z exp(D) is p-integral through
     z^(N+1), for f = F(a,b|z) and g = G(a,b|z) through z^N: by the
     Dieudonne-Dwork lemma, exactly when D(z^p) - p D = 0 mod p through
@@ -196,7 +195,7 @@ def mirror_integrality_check(tri: TriangleType, p: int, f: TruncatedSeries,
 
 
 def dieudonne_check(u: TruncatedSeries, primes: list[int]
-                    ) -> list[tuple[ValuationProfile, Congruence]]:
+                    ) -> list[tuple[PAdicCheck, PAdicCheck]]:
     """Both sides of the additive Dieudonne-Dwork equivalence for each
     prime p in primes, exactly to order u.truncation: the integrality
     profile of exp(u), built once, and u(z^p) - p u(z) mod p, which
@@ -283,7 +282,7 @@ def checked_generators(tri: TriangleType, n_order: int
 
 def generator_integrality(tri: TriangleType, p: int,
                           generators: list[tuple[str, TruncatedSeries]]
-                          ) -> list[tuple[str, ValuationProfile]]:
+                          ) -> list[tuple[str, PAdicCheck]]:
     """The integrality profile of each generator from checked_generators."""
     require_coprime(tri, p)
     return [(label, valuation_profile(series, p))

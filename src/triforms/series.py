@@ -440,48 +440,41 @@ def power_ladder(factor, ratio, exponents):
 
 
 # --------------------------------------------------------------------------
-# p-adic valuation profiles
+# p-adic checks
 # --------------------------------------------------------------------------
 
-class ValuationProfile(namedtuple("ValuationProfile",
-                                  "prime entries start_index",
-                                  defaults=(0,))):
-    """Per-coefficient p-adic valuations of a series, for deciding its
-    p-integrality.
+class PAdicCheck(namedtuple("PAdicCheck", "prime order first_failure "
+                            "valuation min_valuation", defaults=(None,))):
+    """A p-adic check of a series through the exponent order.
 
-    entries[i] is v_p of the coefficient at index start_index + i, or
-    None when that coefficient is zero; start_index is the lowest
-    exponent of a Laurent series, and 0 for a power series.  A
-    congruence mod p is decided as a Congruence (lab.py), not here.
+    first_failure is the first exponent whose coefficient has p-adic
+    valuation below the check's bound, 0 for integrality
+    (valuation_profile) and 1 for a congruence mod p (lab.py), or None;
+    valuation is the exact valuation there, or None with it.
+    min_valuation, the least valuation of a nonzero coefficient, is
+    resolved only by valuation_profile, and is None elsewhere.
     """
 
     __slots__ = ()
-
-    @property
-    def min_valuation(self) -> int | None:
-        """The least finite entry (None if every coefficient vanishes)."""
-        return min((v for v in self.entries if v is not None), default=None)
-
-    @property
-    def first_failure(self) -> int | None:
-        """The first index whose coefficient is not p-integral, or None."""
-        for i, v in enumerate(self.entries):
-            if v is not None and v < 0:
-                return self.start_index + i
-        return None
 
     def holds(self) -> bool:
         return self.first_failure is None
 
 
-def valuation_profile(s, p: int) -> ValuationProfile:
-    """Valuation profile of a TruncatedSeries or LaurentSeries; the
-    coefficient of exponent e gets index e.  v_p(x_i / den) is read as
-    v_p(x_i) - v_p(den), with no gcd."""
-    start_index = 0
+def valuation_profile(s, p: int) -> PAdicCheck:
+    """The integrality check of a TruncatedSeries or LaurentSeries, in
+    one pass over its coefficients, indexed by exponent.  v_p(x_i / den)
+    is read as v_p(x_i) - v_p(den), with no gcd."""
+    start = 0
     if isinstance(s, LaurentSeries):
-        start_index, s = s.lowest_exponent, s.body
+        start, s = s.lowest_exponent, s.body
     v_den = int_valuation(s.den, p)
-    return ValuationProfile(p, tuple(
-        None if x == 0 else int_valuation(x, p) - v_den for x in s.nums),
-        start_index)
+    first = valuation = least = None
+    for i, x in enumerate(s.nums):
+        if x:
+            v = int_valuation(x, p) - v_den
+            if least is None or v < least:
+                least = v
+            if v < 0 and first is None:
+                first, valuation = start + i, v
+    return PAdicCheck(p, start + s.truncation, first, valuation, least)

@@ -9,9 +9,10 @@ the residue congruence checks replaced, the substitution z -> z^p
 with the exact mod-p reading that the Dwork form on residues
 replaced, the scaling q -> kappa*q that J = 1/z(kappa*q) took
 after the reversion before it became the reversion of q(a,b|z)/kappa,
-the trial division that the prime sieve replaced, and the
+the trial division that the prime sieve replaced, the
 exponent-by-exponent rational comparison that the agreement test on
-integers replaced."""
+integers replaced, and the per-coefficient valuations that the one
+pass of valuation_profile replaced."""
 
 from math import isqrt
 
@@ -19,14 +20,13 @@ from triforms.dwork import dwork_images, require_coprime
 from triforms.errors import SeriesDomainError
 from triforms.halphen import HalphenSolution, HGParams, TriangleType
 from triforms.hypergeom import mirror_map, schwarz_map, series_f
-from triforms.lab import Congruence
 from triforms.rationals import ONE, QQ, ZERO, int_valuation, numden
 from triforms.series import (
     LaurentSeries,
+    PAdicCheck,
     TruncatedSeries,
     series_over,
     theta_derivative,
-    valuation_profile,
 )
 
 
@@ -86,26 +86,37 @@ def scale_argument(s: TruncatedSeries, kappa) -> TruncatedSeries:
         s.den * v ** n, n)
 
 
-def exact_congruence(x: TruncatedSeries, p: int) -> Congruence:
+def valuation_entries(s, p: int) -> tuple:
+    """v_p of each coefficient of a TruncatedSeries or LaurentSeries, or
+    None for a zero one, from its lowest exponent (0 for a power series)
+    through its truncation."""
+    if isinstance(s, LaurentSeries):
+        s = s.body
+    v_den = int_valuation(s.den, p)
+    return tuple(None if x == 0 else int_valuation(x, p) - v_den
+                 for x in s.nums)
+
+
+def exact_congruence(x: TruncatedSeries, p: int) -> PAdicCheck:
     """x = 0 mod p through x.truncation, read from the exact series:
     the first index whose coefficient has p-adic valuation below 1,
     and that valuation."""
-    for i, v in enumerate(valuation_profile(x, p).entries):
+    for i, v in enumerate(valuation_entries(x, p)):
         if v is not None and v < 1:
-            return Congruence(p, x.truncation, i, v)
-    return Congruence(p, x.truncation, None, None)
+            return PAdicCheck(p, x.truncation, i, v)
+    return PAdicCheck(p, x.truncation, None, None)
 
 
 def schwarz_congruence_profile(base: TruncatedSeries,
                                twisted: TruncatedSeries,
-                               p: int) -> Congruence:
+                               p: int) -> PAdicCheck:
     """D' - D mod p for base = D and twisted = D', both built over Q."""
     return exact_congruence(twisted - base, p)
 
 
 def dwork_congruence_profile(base: TruncatedSeries,
                              twisted: TruncatedSeries,
-                             p: int) -> Congruence:
+                             p: int) -> PAdicCheck:
     """D'(z^p) - p D mod p for base = D and twisted = D', both built
     over Q."""
     return exact_congruence(substitute_power(twisted, p) - p * base, p)

@@ -16,7 +16,7 @@ from triforms.halphen import HGParams, TriangleType
 from triforms.hypergeom import mirror_map, series_f
 from triforms.lab import empirical_integrality
 from triforms.rationals import QQ, primes
-from triforms.series import ValuationProfile
+from triforms.series import PAdicCheck
 
 PROFILE_KEYS = {"N", "firstNegativeIndex", "minValuation"}
 
@@ -312,7 +312,7 @@ class TestVerify:
         import triforms.cli
         monkeypatch.setattr(
             triforms.cli, "generator_integrality",
-            lambda tri, p, generators: [(label, ValuationProfile(p, (0, -1)))
+            lambda tri, p, generators: [(label, PAdicCheck(p, 1, 1, -1, -1))
                                         for label, _ in generators])
         code, out, err = run(capsys, "verify", "--suite", "generators",
                              "--type", "2,5", "--primes", "11..31", "--N", "10")

@@ -13,6 +13,7 @@ from triforms.hypergeom import (
 from triforms.rationals import QQ, rational_to_str
 from triforms.series import (
     LaurentSeries,
+    PAdicCheck,
     TruncatedSeries,
     compose,
     divide,
@@ -34,7 +35,7 @@ from conftest import (
 )
 from oracles import (
     agreement_by_fractions, divide_by_recurrence, exp_by_recurrence,
-    rational_valuation, scale_argument, substitute_power)
+    rational_valuation, scale_argument, substitute_power, valuation_entries)
 
 
 def ts(*coeffs, N=None):
@@ -331,7 +332,7 @@ class TestNewtonKernels:
         assert d == divide_by_recurrence(g, f) == schwarz
         assert mirror == unit.shift(1)
         assert identity == TruncatedSeries.identity(30)
-        assert profile.holds() and len(profile.entries) == 31
+        assert profile.holds() and profile.order == 30
         assert j_halphen.agrees_with(j_mirror) is None
 
     @given(st.integers(min_value=-3, max_value=3),
@@ -387,7 +388,7 @@ class TestFractionListDifferential:
         image = [Fraction(0)] * (n + 1)
         image[::p] = a[: n // p + 1]
         assert_matches(substitute_power(x, p), image)
-        assert valuation_profile(x, prime).entries == tuple(
+        assert valuation_entries(x, prime) == tuple(
             rational_valuation(c, prime) for c in a)
 
     @given(any_order_series, any_order_denominators, any_order_exponents)
@@ -463,11 +464,11 @@ class TestDerivativesAndSubstitutions:
            st.sampled_from([2, 3, 5, 7]))
     def test_substitute_valuation_bookkeeping(self, s, power, p):
         # index i of the image holds the old coefficient i/power (or 0)
-        image = valuation_profile(substitute_power(s, power), p)
-        base = valuation_profile(s, p)
-        for i, v in enumerate(image.entries):
+        image = valuation_entries(substitute_power(s, power), p)
+        base = valuation_entries(s, p)
+        for i, v in enumerate(image):
             if i % power == 0:
-                assert v == base.entries[i // power]
+                assert v == base[i // power]
             else:
                 assert v is None
 
@@ -531,27 +532,27 @@ class TestReversion:
 class TestValuationProfile:
     def test_negative_entry(self):
         prof = valuation_profile(ts(1, "1/5"), 5)
-        assert prof.entries == (0, -1)
+        assert valuation_entries(ts(1, "1/5"), 5) == (0, -1)
         assert prof.min_valuation == -1
 
     def test_integral(self):
         prof = valuation_profile(ts(1, 1), 7)
-        assert prof.entries == (0, 0)
+        assert valuation_entries(ts(1, 1), 7) == (0, 0)
         assert prof.holds() and prof.first_failure is None
 
     def test_first_failure_is_first_non_integral(self):
         # p-units and zeros pass; the first negative valuation fails
         s = ts(0, 5, 1, "1/5", "1/25")
         prof = valuation_profile(s, 5)
-        assert prof.entries == (None, 1, 0, -1, -2)
+        assert valuation_entries(s, 5) == (None, 1, 0, -1, -2)
         assert prof.first_failure == 3
         assert not prof.holds()
-        assert prof.start_index == 0
+        assert (prof.order, prof.valuation, prof.min_valuation) == (4, -1, -2)
 
     def test_laurent_indices_are_exponents(self):
         s = LaurentSeries(ts("1/7", 1, "1/7"), -1)
         prof = valuation_profile(s, 7)
-        assert prof.start_index == -1
+        assert prof.order == 1
         assert prof.first_failure == -1
         assert prof.min_valuation == -1
 
@@ -563,18 +564,18 @@ class TestValuationProfile:
     def test_geometric_in_p(self):
         p = 7
         s = divide(TruncatedSeries.one(10), ts(1, -p, N=10))
-        prof = valuation_profile(s, p)
-        assert prof.entries == tuple(range(11))
+        assert valuation_entries(s, p) == tuple(range(11))
+        assert valuation_profile(s, p).min_valuation == 0
 
     def test_zero_coefficient_is_none(self):
-        assert valuation_profile(ts(0, 3), 3).entries == (None, 1)
+        assert valuation_entries(ts(0, 3), 3) == (None, 1)
 
     @given(series(10), series(10), st.sampled_from([2, 3, 5, 7]))
     def test_ultrametric_bound_on_products(self, s1, s2, p):
-        prod = valuation_profile(s1 * s2, p)
-        a = valuation_profile(s1, p).entries
-        b = valuation_profile(s2, p).entries
-        for n, v in enumerate(prod.entries):
+        prod = valuation_entries(s1 * s2, p)
+        a = valuation_entries(s1, p)
+        b = valuation_entries(s2, p)
+        for n, v in enumerate(prod):
             splits = [a[i] + b[n - i] for i in range(n + 1)
                       if a[i] is not None and b[n - i] is not None]
             if v is not None:
@@ -706,6 +707,36 @@ def laurent_pairs(draw):
             for cs, top in zip((terms, other), tops)]
 
 
+def profile_from_entries(s, p):
+    """The integrality check of s read off valuation_entries: the first
+    negative entry, its exponent, and the least finite entry."""
+    entries = valuation_entries(s, p)
+    start = s.lowest_exponent if isinstance(s, LaurentSeries) else 0
+    finite = [(start + i, v) for i, v in enumerate(entries) if v is not None]
+    first, valuation = next(((e, v) for e, v in finite if v < 0),
+                            (None, None))
+    return PAdicCheck(p, start + len(entries) - 1, first, valuation,
+                      min((v for _, v in finite), default=None))
+
+
+class TestValuationProfileDifferential:
+    """valuation_profile's one pass against the per-coefficient
+    valuations of the oracle: prime, order, first failure, its
+    valuation and the least valuation."""
+
+    @given(st.one_of(
+        any_order_series, laurent_series,
+        st.builds(LaurentSeries, any_order_series.filter(lambda s: any(s.nums)),
+                  st.integers(min_value=-3, max_value=3))),
+        st.sampled_from([2, 3, 5, 7]))
+    @example(TruncatedSeries([], 3), 5)
+    @example(ts(0, 5, 1, "1/5", "1/25"), 5)
+    @example(LaurentSeries(ts("1/7", 1, "1/7"), -1), 7)
+    @example(LaurentSeries(ts(0, 49, "1/49", 3, N=5), 2), 7)
+    def test_matches_entries_oracle(self, s, p):
+        assert valuation_profile(s, p) == profile_from_entries(s, p)
+
+
 class TestLaurentDifferential:
     """Every LaurentSeries operation against NaiveLaurent: lowest
     exponent, coefficients and truncation."""
@@ -771,7 +802,7 @@ class TestSerialization:
 
     def test_profile_json_uses_null_for_zero(self):
         # a zero coefficient has no valuation: its entry is None
-        assert valuation_profile(ts(0, 5), 5).entries == (None, 1)
+        assert valuation_entries(ts(0, 5), 5) == (None, 1)
 
 
 class TestImmutability:

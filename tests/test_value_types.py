@@ -1,13 +1,12 @@
-"""The seven value types: immutable records, built positionally or by
+"""The six value types: immutable records, built positionally or by
 keyword, compared and hashed by their fields, shown as Name(field=...)."""
 
 import pytest
 
 from triforms.dwork import IntegralityVerdict, WitnessCase
 from triforms.halphen import HalphenSolution, HGParams, TriangleType, solve_halphen
-from triforms.lab import Congruence
 from triforms.rationals import QQ
-from triforms.series import ValuationProfile
+from triforms.series import PAdicCheck
 
 TRI = TriangleType(2, 5)
 WITNESS = WitnessCase(1, -1, "shifted")
@@ -27,12 +26,14 @@ CASES = [
      "IntegralityVerdict(triangle=TriangleType(m1=2, m2=5), prime=11, "
      "witness=WitnessCase(epsilon=1, epsilon_prime=-1, "
      "branch='shifted'))"),
-    (ValuationProfile, {"prime": 7, "entries": (0, None, 2),
-                        "start_index": -1},
-     "ValuationProfile(prime=7, entries=(0, None, 2), start_index=-1)"),
-    (Congruence, {"prime": 13, "order": 60, "first_failure": 1,
+    (PAdicCheck, {"prime": 7, "order": 3, "first_failure": -1,
+                  "valuation": -2, "min_valuation": -2},
+     "PAdicCheck(prime=7, order=3, first_failure=-1, valuation=-2, "
+     "min_valuation=-2)"),
+    (PAdicCheck, {"prime": 13, "order": 60, "first_failure": 1,
                   "valuation": 0},
-     "Congruence(prime=13, order=60, first_failure=1, valuation=0)"),
+     "PAdicCheck(prime=13, order=60, first_failure=1, valuation=0, "
+     "min_valuation=None)"),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
 
@@ -62,8 +63,8 @@ def test_repr(cls, fields, text):
 
 
 def test_defaults():
-    profile = ValuationProfile(7, (0, 1))
-    assert profile.start_index == 0
+    # min_valuation is resolved only by valuation_profile
+    assert PAdicCheck(13, 60, None, None).min_valuation is None
     # the verdict is derived from the witness, which has no default
     assert IntegralityVerdict._fields == ("triangle", "prime", "witness")
     assert IntegralityVerdict._field_defaults == {}
