@@ -22,7 +22,7 @@ from .dwork import (
     takeuchi_scan,
     theorem_classifier,
 )
-from .errors import TriformsError
+from .errors import OrderShortfall, TriformsError
 from .halphen import (
     HGParams,
     TriangleType,
@@ -185,11 +185,17 @@ def _verify_cells(args):
             ps = _primes_for(t, primes)
             f, g = frobenius_basis(HGParams.for_type(t), n_order)
             for p in ps:
-                congruent = schwarz_congruence_check(t, p, f, g).holds()
+                # the index rule in lab.py: D(z^p) - p D fails at z^(p c)
+                c = schwarz_congruence_check(t, p, f, g).first_failure
+                if c is not None and p * c > n_order:
+                    raise OrderShortfall(
+                        f"schwarz-vs-empirical {t} p={p}: the congruence "
+                        f"fails at z^{c}, so the mirror map's verdict needs "
+                        f"--N >= {p * c} (p c), not {n_order}")
                 integral = mirror_integrality_check(t, p, f, g)
                 yield f"schwarz-vs-empirical {t} p={p}", \
-                    congruent == integral.holds(), {
-                        "congruence": congruent,
+                    (c is None) == integral.holds(), {
+                        "congruence": c is None,
                         "verdict": _evidence(integral)}
     elif suite == "generators":
         for t in types:

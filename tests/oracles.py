@@ -12,7 +12,9 @@ after the reversion before it became the reversion of q(a,b|z)/kappa,
 the trial division that the prime sieve replaced, the
 exponent-by-exponent rational comparison that the agreement test on
 integers replaced, and the per-coefficient valuations that the one
-pass of valuation_profile replaced."""
+pass of valuation_profile replaced.  Each loop lives here once: the
+suite's other oracles (the Fraction lists and NaiveLaurent of
+test_series.py) call these, not copies of them."""
 
 from math import isqrt
 

@@ -7,8 +7,6 @@ the two timed criteria also assert their runtime budgets.
 import time
 from math import gcd
 
-import pytest
-
 from triforms.dwork import (
     dwork_set_condition,
     hecke_classifier,
@@ -27,7 +25,6 @@ from triforms.halphen import (
 )
 from triforms.hypergeom import frobenius_basis, mirror_map
 from triforms.lab import (
-    checked_generators,
     cross_route_consistency,
     dwork_congruence_check,
     empirical_integrality,
@@ -39,6 +36,7 @@ from triforms.lab import (
 from triforms.series import LaurentSeries, valuation_profile
 from triforms.rationals import primes
 
+from conftest import CLASSIFIER_MATRIX
 from oracles import euler_identity_check, halphen_residuals
 
 
@@ -47,14 +45,6 @@ def _report(capsys, number, description, ok):
     with capsys.disabled():
         print(line)
     assert ok, line
-
-
-def _classifier_matrix_types():
-    """All hyperbolic (m1, m2) with m2 <= 8, plus (2,inf) and (3,inf)."""
-    types = [TriangleType(m1, m2)
-             for m1 in range(2, 9) for m2 in range(m1, 9)
-             if m1 * m2 > m1 + m2]
-    return types + [TriangleType(2, None), TriangleType(3, None)]
 
 
 def test_criterion_01_takeuchi_scan(capsys):
@@ -97,7 +87,7 @@ def test_criterion_03_non_integrality_witness(capsys):
 def test_criterion_04_classifier_equivalence(capsys):
     start = time.perf_counter()
     ok, cells = True, 0
-    for tri in _classifier_matrix_types():
+    for tri in CLASSIFIER_MATRIX:
         threshold = tri.conductor
         for p in primes(threshold + 1, 499):
             if gcd(p, tri.conductor) > 1:
@@ -135,7 +125,7 @@ def test_criterion_06_schwarz_biconditional(capsys):
     # parameter has denominator 2 (e.g. (5,5), where a = 1/2).
     n_order = 60
     ok, cells = True, 0
-    for tri in _classifier_matrix_types():
+    for tri in CLASSIFIER_MATRIX:
         lo = tri.conductor
         coprime = [p for p in primes(lo + 1, 99) if gcd(p, lo) == 1]
         if not coprime:
@@ -221,36 +211,27 @@ def test_criterion_10_structural_identities(capsys):
             "generator formulas (order 30), Halphen residuals zero", ok)
 
 
-def test_criterion_11_generator_integrality(capsys):
+def test_criterion_11_generator_integrality(capsys, criterion_11_cells):
     # The modular-forms half of the theorem: above the conductor every
     # generator E^(i)_2k is p-integral through 2p + 20 exactly when the
     # classifier says INTEGRAL, and the earliest generator failure sits
     # at the mirror map's first negative index.
-    ok, cells, indexed = True, 0, 0
-    for tri in (TriangleType(2, 5), TriangleType(3, 4), TriangleType(2, 7),
-                TriangleType(3, None)):
-        coprime = [p for p in primes(tri.conductor + 1, 49)
-                   if gcd(p, tri.conductor) == 1]
-        top = 2 * coprime[-1] + 20
-        generators = checked_generators(tri, top)
-        q = mirror_map(HGParams.for_type(tri), top + 1)
-        ok = ok and min(s.truncation for _, s in generators) >= top
-        for p in coprime:
-            window = 2 * p + 20
-            profiles = generator_integrality(
-                tri, p, [(lbl, s.retruncate(window)) for lbl, s in generators])
-            failures = [v.first_failure for _, v in profiles
-                        if not v.holds()]
-            integral = theorem_classifier(tri, p).verdict == "integral"
-            mirror = empirical_integrality(tri, p, q.retruncate(window + 1))
-            ok = ok and (not failures) == integral
-            ok = ok and min(failures, default=None) == mirror.first_failure
-            cells += 1
-            indexed += bool(failures)
+    ok, indexed = True, 0
+    for tri, p, generators, _, q in criterion_11_cells:
+        ok = ok and min(s.truncation for _, s in generators) >= 2 * p + 20
+        failures = [v.first_failure for _, v in
+                    generator_integrality(tri, p, generators)
+                    if not v.holds()]
+        integral = theorem_classifier(tri, p).verdict == "integral"
+        mirror = empirical_integrality(tri, p, q)
+        ok = ok and (not failures) == integral
+        ok = ok and min(failures, default=None) == mirror.first_failure
+        indexed += bool(failures)
     _report(capsys, 11,
             f"generators p-integral through 2p + 20 iff classifier INTEGRAL, "
-            f"first failing index == mirror map's, on {cells} cells "
-            f"({indexed} non-integral)", ok and indexed > 0)
+            f"first failing index == mirror map's, on "
+            f"{len(criterion_11_cells)} cells ({indexed} non-integral)",
+            ok and indexed > 0)
 
 
 def test_criterion_12_hecke_corollary_on_j(capsys):
@@ -282,7 +263,8 @@ def test_criterion_12_hecke_corollary_on_j(capsys):
             f"{exceptions or 'none'}", not exceptions and cells == 67)
 
 
-def test_criterion_13_conjectural_flag_against_series(capsys):
+def test_criterion_13_conjectural_flag_against_series(capsys,
+                                                      criterion_13_cells):
     # Below the theorem range the classifier gives only a conjectural
     # flag, above it a verdict; both read the theorem's witness, which
     # is held against the Dieudonne-Dwork lemma for exp(D):
@@ -291,19 +273,15 @@ def test_criterion_13_conjectural_flag_against_series(capsys):
     # and G by mirror_integrality_check.  A clean profile is evidence
     # through the window, never a proof, and the verdict stays
     # belowTheoremRange.
-    exceptions, cells, below, top = [], 0, 0, 0
-    for tri in _classifier_matrix_types():
-        coprime = [p for p in primes(3, 61) if gcd(p, tri.conductor) == 1]
-        f, g = frobenius_basis(HGParams.for_type(tri), 2 * coprime[-1] + 20)
-        for p in coprime:
-            window = [s.retruncate(2 * p + 20) for s in (f, g)]
-            lemma = mirror_integrality_check(tri, p, *window)
-            verdict = theorem_classifier(tri, p)
-            below += verdict.verdict == "belowTheoremRange"
-            if lemma.holds() != (verdict.witness is not None):
-                exceptions.append(f"{tri} p={p}")
-            cells += 1
-        top = max(top, f.truncation)
+    exceptions, below = [], 0
+    for tri, p, window in criterion_13_cells:
+        lemma = mirror_integrality_check(tri, p, *window)
+        verdict = theorem_classifier(tri, p)
+        below += verdict.verdict == "belowTheoremRange"
+        if lemma.holds() != (verdict.witness is not None):
+            exceptions.append(f"{tri} p={p}")
+    cells = len(criterion_13_cells)
+    top = max(f.truncation for _, _, (f, _) in criterion_13_cells)
     _report(capsys, 13,
             f"conjectural flag below range, verdict above == Dieudonne-Dwork "
             f"profile of D through z^(2p + 20) (z^{top} at most), "

@@ -268,6 +268,19 @@ class TestVerify:
         assert verdicts["schwarz-vs-empirical (2,5) p=11"] == "integralEvidence"
         assert verdicts["schwarz-vs-empirical (2,5) p=13"] == "nonIntegralEvidence"
 
+    def test_schwarz_window_below_the_index_rule(self, capsys):
+        # (2,5) at p = 23 fails the congruence at c = 1, so D(z^p) - p D
+        # first fails at z^23: a shorter window is an order shortfall,
+        # not a mismatch
+        code, out, err = run(capsys, "verify", "--suite", "schwarz",
+                             "--type", "2,5", "--primes", "23", "--N", "22")
+        assert code == 2
+        assert out == ""
+        assert "--N >= 23" in err
+        code, _, _ = run(capsys, "verify", "--suite", "schwarz",
+                         "--type", "2,5", "--primes", "23", "--N", "23")
+        assert code == 0
+
     @pytest.mark.parametrize("suite, module, name, calls", [
         # no D(a,b|z) at all: the congruences and the mirror map's
         # verdict are decided on F and G, built once per type; the

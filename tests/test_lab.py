@@ -40,7 +40,7 @@ from triforms.series import (
     valuation_profile,
 )
 
-from conftest import GRID_TYPES, small_rationals
+from conftest import CLASSIFIER_MATRIX, GRID_TYPES, small_rationals
 from oracles import (
     dwork_congruence_profile,
     exact_congruence,
@@ -53,9 +53,7 @@ from oracles import (
 
 TRI25 = TriangleType(2, 5)
 
-# acceptance criterion 6's grid: m1 <= m2 <= 8, (2,inf) and (3,inf)
-CLASSIFIER_MATRIX = [t for t in GRID_TYPES
-                     if (t.m2 <= 8 if t.m2_finite else t.m1 <= 3)]
+PARAMS25 = HGParams.for_type(TRI25)
 
 # the types of GRID_TYPES with conductor <= 60 that acceptance
 # criterion 13's classifier matrix (m2 <= 8, (2,inf), (3,inf)) leaves out
@@ -65,41 +63,10 @@ BEYOND_CLASSIFIER_MATRIX = [
     TriangleType(m1, None) for m1 in range(4, 13)]
 
 
-def base_map(tri, n_order):
-    """D(a,b|z) for the type's pair."""
-    return schwarz_map(HGParams.for_type(tri), n_order)
-
-
-def basis(tri, n_order):
-    """(F, G) for the type's pair, the per-type series the congruence
-    checks take."""
-    return frobenius_basis(HGParams.for_type(tri), n_order)
-
-
-def q_map(tri, n_order):
-    """The mirror map q(a,b|z) of the type's pair through z^n_order."""
-    return mirror_map(HGParams.for_type(tri), n_order)
-
-
-@pytest.fixture(scope="module")
-def criterion_13_cells():
-    """Every cell of acceptance criterion 13, (tri, p, (F, G)): the types
-    of CLASSIFIER_MATRIX, each prime 3 <= p <= 61 coprime to the
-    conductor, and F and G of the type's pair through the window
-    z^(2p + 20)."""
-    cells = []
-    for tri in CLASSIFIER_MATRIX:
-        coprime = [p for p in primes(3, 61) if gcd(p, tri.conductor) == 1]
-        f, g = basis(tri, 2 * coprime[-1] + 20)
-        cells += [(tri, p, tuple(s.retruncate(2 * p + 20) for s in (f, g)))
-                  for p in coprime]
-    return cells
-
-
 class TestEmpiricalIntegrality:
     def test_2_5_integral_primes(self):
         # indices are exponents of z: q has no constant term
-        q = q_map(TRI25, 61)
+        q = mirror_map(PARAMS25, 61)
         for p in (11, 19):
             v = empirical_integrality(TRI25, p, q)
             assert v.holds()
@@ -109,7 +76,7 @@ class TestEmpiricalIntegrality:
 
     def test_2_5_non_integral_primes(self):
         # first negative indices frozen from the exact computation
-        q = q_map(TRI25, 101)
+        q = mirror_map(PARAMS25, 101)
         for p, index in ((13, 14), (17, 18)):
             v = empirical_integrality(TRI25, p, q)
             assert not v.holds()
@@ -117,14 +84,14 @@ class TestEmpiricalIntegrality:
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            empirical_integrality(TRI25, 5, q_map(TRI25, 21))
+            empirical_integrality(TRI25, 5, mirror_map(PARAMS25, 21))
 
     @given(small_rationals.filter(lambda x: x != 0))
     def test_normalization_soundness(self, const):
         # multiplying by a constant shifts every valuation uniformly,
         # so min-shifted-to-zero classification is invariant
         p = 13
-        q = q_map(TRI25, 31)
+        q = mirror_map(PARAMS25, 31)
         base = valuation_profile(q, p)
         scaled = valuation_profile(const * q, p)
         shift = rational_valuation(const, p)
@@ -140,28 +107,32 @@ class TestEmpiricalIntegrality:
 class TestDworkCongruence:
     def test_holds_without_integrality_hypothesis(self):
         # p = 13 is a non-integral prime for (2,5); the congruence still holds
-        assert dwork_congruence_check(TRI25, 13, *basis(TRI25, 60)).holds()
+        assert dwork_congruence_check(
+            TRI25, 13, *frobenius_basis(PARAMS25, 60)).holds()
         tri = TriangleType(3, 7)
-        assert dwork_congruence_check(tri, 11, *basis(tri, 60)).holds()
+        assert dwork_congruence_check(
+            tri, 11, *frobenius_basis(HGParams.for_type(tri), 60)).holds()
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            dwork_congruence_check(TRI25, 5, *basis(TRI25, 20))
+            dwork_congruence_check(TRI25, 5, *frobenius_basis(PARAMS25, 20))
 
     def test_index_one_bookkeeping(self):
         # non-multiples of p vanish on the z^p-substituted side, so the
         # check at index 1 is v_p(p*C1) >= 1; C1 is a p-unit denominator
         p = 13
-        c1 = base_map(TRI25, 1).coeffs[1]
+        c1 = schwarz_map(PARAMS25, 1).coeffs[1]
         assert rational_valuation(p * c1, p) >= 1
 
 
 class TestSchwarzCongruence:
     def test_integral_case_holds(self):
-        assert schwarz_congruence_check(TRI25, 11, *basis(TRI25, 60)).holds()
+        assert schwarz_congruence_check(
+            TRI25, 11, *frobenius_basis(PARAMS25, 60)).holds()
 
     def test_non_integral_case_fails(self):
-        result = schwarz_congruence_check(TRI25, 13, *basis(TRI25, 60))
+        result = schwarz_congruence_check(
+            TRI25, 13, *frobenius_basis(PARAMS25, 60))
         assert (result.prime, result.order) == (13, 60)
         assert not result.holds()
         assert result.first_failure >= 1
@@ -169,7 +140,8 @@ class TestSchwarzCongruence:
 
     def test_fixed_parameters_trivial(self):
         # p = 1 mod 20 fixes a and b, so both sides are the same series
-        result = schwarz_congruence_check(TRI25, 41, *basis(TRI25, 40))
+        result = schwarz_congruence_check(
+            TRI25, 41, *frobenius_basis(PARAMS25, 40))
         assert result.holds()
         assert (result.first_failure, result.valuation) == (None, None)
 
@@ -177,7 +149,7 @@ class TestSchwarzCongruence:
         # when the Dwork image of (a, b) is (a, b), the given basis is
         # the twisted one: no second F and G are built; otherwise the
         # Dwork form builds them only through z^(N // p)
-        fg = basis(TRI25, 30)
+        fg = frobenius_basis(PARAMS25, 30)
         built = []
         monkeypatch.setattr(lab, "frobenius_basis", lambda params, n:
                             built.append((params, n))
@@ -193,7 +165,7 @@ class TestSchwarzCongruence:
     def test_divides_no_series(self, monkeypatch):
         # both checks decide on F and G: no D = G/F, base or twisted,
         # is divided out
-        fg = basis(TRI25, 40)
+        fg = frobenius_basis(PARAMS25, 40)
 
         def refuse(*args):
             raise AssertionError("a series division was run")
@@ -204,8 +176,8 @@ class TestSchwarzCongruence:
             dwork_congruence_check(TRI25, p, *fg)
 
     def test_biconditional_with_empirical(self):
-        fg = basis(TRI25, 50)
-        q = q_map(TRI25, 51)
+        fg = frobenius_basis(PARAMS25, 50)
+        q = mirror_map(PARAMS25, 51)
         for p in (11, 13, 19, 23, 29, 31):
             cong = schwarz_congruence_check(TRI25, p, *fg).holds()
             assert cong == empirical_integrality(TRI25, p, q).holds()
@@ -272,12 +244,12 @@ class TestResidueCongruence:
         # (2,5) pair at p = 13: the Dwork form fails, at the exact index
         # and valuation
         p, n_order = 13, 60
-        fg = basis(TRI25, n_order)
+        fg = frobenius_basis(PARAMS25, n_order)
         wrong = HGParams(QQ(17, 20), QQ(13, 20))
         result = congruence_on_residues(
             p, fg, frobenius_basis(wrong, n_order // p), p)
         exact = dwork_congruence_profile(
-            schwarz_map(HGParams.for_type(TRI25), n_order),
+            schwarz_map(PARAMS25, n_order),
             schwarz_map(wrong, n_order), p)
         assert not result.holds()
         assert result == exact
@@ -287,10 +259,10 @@ class TestResidueCongruence:
         # must be taken mod p^(s+2) for s = v_p of G's denominator, and
         # D' - D = (1/p - 1) D fails where D has valuation below 2
         p, n_order = 11, 40
-        f, g = basis(TRI25, n_order)
+        f, g = frobenius_basis(PARAMS25, n_order)
         result = congruence_on_residues(p, (f, g), (f, g * QQ(1, p)), 1)
         exact = exact_congruence(
-            (QQ(1, p) - 1) * schwarz_map(HGParams.for_type(TRI25), n_order),
+            (QQ(1, p) - 1) * schwarz_map(PARAMS25, n_order),
             p)
         assert not result.holds()
         assert result == exact
@@ -299,7 +271,7 @@ class TestResidueCongruence:
         # F and F' lie in 1 + z Z_p[[z]]; a crafted F with 1/p in it is a
         # broken invariant, on either side
         p = 11
-        f, g = basis(TRI25, 10)
+        f, g = frobenius_basis(PARAMS25, 10)
         bad = f + TruncatedSeries([0, 0, QQ(1, p)], 10)
         with pytest.raises(InvariantViolation):
             congruence_on_residues(p, (bad, g), (f, g), 1)
@@ -346,7 +318,8 @@ class TestMirrorIntegrality:
 
     def test_rejects_shared_factor(self):
         with pytest.raises(SharedFactor):
-            mirror_integrality_check(TRI25, 5, *basis(TRI25, 20))
+            mirror_integrality_check(
+                TRI25, 5, *frobenius_basis(PARAMS25, 20))
 
     @pytest.mark.parametrize("tri", CLASSIFIER_MATRIX, ids=str)
     def test_is_the_dieudonne_form_of_d(self, tri):
@@ -459,7 +432,8 @@ class TestDieudonne:
 
     def test_on_schwarz_map(self):
         # u = D(a,b|z) for an integral prime: both predicates true
-        [(exp_side, cong_side)] = dieudonne_check(base_map(TRI25, 40), [11])
+        [(exp_side, cong_side)] = dieudonne_check(
+            schwarz_map(PARAMS25, 40), [11])
         assert exp_side.holds() and cong_side.holds()
 
     @given(st.sampled_from([2, 3, 5, 7]),
@@ -493,7 +467,8 @@ class TestDieudonne:
         # vanishes mod p through z^(2p + 20), decided on F and G, for
         # the first two primes above the conductor
         above = primes(tri.conductor + 1, 2 * tri.conductor + 20)[:2]
-        f, g = basis(tri, 2 * above[-1] + 20)
+        f, g = frobenius_basis(HGParams.for_type(tri),
+                               2 * above[-1] + 20)
         for p in above:
             window = [s.retruncate(2 * p + 20) for s in (f, g)]
             lemma = mirror_integrality_check(tri, p, *window)
@@ -586,33 +561,23 @@ class TestGeneratorIntegrality:
         assert "E2_4 for (2,5)" in str(exc.value)
         checked_generators(TRI25, 9)
 
-    def test_two_sided_on_criterion_11_cells(self):
+    def test_two_sided_on_criterion_11_cells(self, criterion_11_cells):
         # on acceptance criterion 11's cells, J (the Halphen J through
         # the type's top order) and every generator are p-integral
         # through 2p + 20 together or all fail, and then the earliest
         # generator failure sits two orders above J's
-        cells, non_integral = 0, 0
-        for tri in (TriangleType(2, 5), TriangleType(3, 4),
-                    TriangleType(2, 7), TriangleType(3, None)):
-            coprime = [p for p in primes(tri.conductor + 1, 49)
-                       if gcd(p, tri.conductor) == 1]
-            top = 2 * coprime[-1] + 20
-            generators = checked_generators(tri, top)
-            j = hauptmodul_from_halphen(solve_halphen(tri, top + 2))
-            for p in coprime:
-                window = 2 * p + 20
-                j_fails = valuation_profile(j, p).first_failure
-                fails = [v.first_failure for _, v in generator_integrality(
-                    tri, p, [(lbl, s.retruncate(window))
-                             for lbl, s in generators])]
-                if j_fails is None:
-                    assert set(fails) == {None}, (tri, p)
-                else:
-                    assert None not in fails, (tri, p)
-                    assert min(fails) == j_fails + 2, (tri, p)
-                cells += 1
-                non_integral += j_fails is not None
-        assert (cells, non_integral) == (31, 10)
+        non_integral = 0
+        for tri, p, generators, j, _ in criterion_11_cells:
+            j_fails = valuation_profile(j, p).first_failure
+            fails = [v.first_failure for _, v in
+                     generator_integrality(tri, p, generators)]
+            if j_fails is None:
+                assert set(fails) == {None}, (tri, p)
+            else:
+                assert None not in fails, (tri, p)
+                assert min(fails) == j_fails + 2, (tri, p)
+            non_integral += j_fails is not None
+        assert (len(criterion_11_cells), non_integral) == (31, 10)
 
     def test_e4_e6_identity(self):
         # E4^3/(E4^3 - E6^2) = J, exactly
@@ -676,7 +641,7 @@ class TestIntegralityTransportJustification:
 
     def test_transport_equivalence_small_order(self):
         # q(a,b|z) integral iff J integral, checked directly at N = 25
-        q = q_map(TRI25, 26)
+        q = mirror_map(PARAMS25, 26)
         j = hauptmodul_from_mirror(q, TRI25.kappa)
         for p in (11, 13):
             q_integral = empirical_integrality(TRI25, p, q).holds()

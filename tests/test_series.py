@@ -73,31 +73,12 @@ def power(a, k):
     return out
 
 
-def inverse(a):
-    """1/a for a[0] != 0, by the division recurrence."""
-    out = []
-    for k in range(len(a)):
-        acc = int(k == 0) - sum((a[i] * out[k - i] for i in range(1, k + 1)),
-                                Fraction(0))
-        out.append(acc / a[0])
-    return out
-
-
 def theta(a):
     return [i * c for i, c in enumerate(a)]
 
 
 def theta_inverse(a):
     return [Fraction(0)] + [c / i for i, c in enumerate(a[1:], 1)]
-
-
-def exponential(u):
-    """exp(u) for u[0] = 0, by n e_n = sum_k k u_k e_(n-k)."""
-    out = [Fraction(1)]
-    for n in range(1, len(u)):
-        out.append(sum((k * u[k] * out[n - k] for k in range(1, n + 1)),
-                       Fraction(0)) / n)
-    return out
 
 
 def composition(f, g):
@@ -394,14 +375,15 @@ class TestFractionListDifferential:
     @given(any_order_series, any_order_denominators, any_order_exponents)
     @example(ts("2/3", "1/9", N=1), ts(-6, "1/4", N=3), ts(0, "1/2", N=2))
     def test_newton_kernels(self, num, den, u):
-        b = fractions(den)
-        assert_matches(divide(num, den), product(fractions(num), inverse(b)))
+        assert_matches(divide(num, den),
+                       fractions(divide_by_recurrence(num, den)))
         e = exp_series(u)
-        assert_matches(e, exponential(fractions(u)))
+        assert_matches(e, fractions(exp_by_recurrence(u)))
         assert_matches(log_series(e), fractions(u))
         unit = den * (1 / den.constant_term)
-        assert_matches(log_series(unit), theta_inverse(
-            product(theta(fractions(unit)), inverse(fractions(unit)))))
+        assert_matches(log_series(unit), theta_inverse(fractions(
+            divide_by_recurrence(TruncatedSeries(theta(fractions(unit))),
+                                 unit))))
 
     @given(series(8, mixed_coefficients),
            zero_constant_series(6, mixed_coefficients), revertible_series)
@@ -646,28 +628,18 @@ class NaiveLaurent:
         return NaiveLaurent(out, min(self.top + other.lo, other.top + self.lo))
 
     def inverse(self):
-        """q^-l / u for self = q^l u, u known through q^(top - l)."""
+        """q^-l / u for self = q^l u, u known through q^(top - l), by
+        the division recurrence."""
         l, n = self.lo, self.top - self.lo
-        u = [self.terms.get(l + i, 0) for i in range(n + 1)]
-        v = []
-        for k in range(n + 1):
-            acc = QQ(int(k == 0)) - sum((u[i] * v[k - i] for i in range(1, k + 1)),
-                                        QQ(0))
-            v.append(acc / u[0])
-        return NaiveLaurent({k - l: c for k, c in enumerate(v)}, n - l)
+        u = TruncatedSeries([self.terms.get(l + i, 0) for i in range(n + 1)], n)
+        v = divide_by_recurrence(TruncatedSeries.one(n), u)
+        return NaiveLaurent({k - l: c for k, c in enumerate(v.coeffs)}, n - l)
 
     def power(self, k):
         out = NaiveLaurent({0: 1}, self.top - self.lo)
         for _ in range(k):
             out = out * self
         return out
-
-    def agrees_with(self, other):
-        top = min(self.top, other.top)
-        for e in range(min(self.lo, other.lo), top + 1):
-            if self.terms.get(e, 0) != other.terms.get(e, 0):
-                return e
-        return None
 
 
 def _shape(s):
@@ -749,7 +721,7 @@ class TestLaurentDifferential:
         nx, ny = NaiveLaurent.of(x), NaiveLaurent.of(y)
         assert _shape(x) == nx.shape()
         assert _shape(x * y) == (nx * ny).shape()
-        assert x.agrees_with(y) == nx.agrees_with(ny)
+        assert x.agrees_with(y) == agreement_by_fractions(x, y)
         assert x.agrees_with(x) is None
 
     @given(laurent_pairs())
